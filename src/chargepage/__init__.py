@@ -25,7 +25,7 @@ from .asymptotics import (
     laplace_smooth, subsystem_charge_distribution, variance_asymptotic,
 )
 from .exactavg import ExactAverage, digamma, exact_average_entropy
-from .montecarlo import McConfig, McRun, run, sample_entropy
+from .montecarlo import McConfig, McRun, run
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "laplace_discontinuous", "laplace_smooth",
     "subsystem_charge_distribution", "variance_asymptotic",
     "ExactAverage", "digamma", "exact_average_entropy",
-    "McConfig", "McRun", "run", "sample_entropy",
+    "McConfig", "McRun", "run",
     "__version__",
 ]

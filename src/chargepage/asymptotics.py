@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .models import ChargeModel, GroupKind, SystemGeometry
+from .models import ChargeModel, GroupKind, SystemGeometry, weight_multiplicities
 from .sectors import block_table
 from .thermo import ThermoPoint, thermo_point
 from .laplace import (  # re-exported: part of this module's public surface
@@ -134,12 +134,16 @@ def asymptotic_log_dim(model: ChargeModel, s: float, n: int) -> float:
     """log of the asymptotic sector dimension at charge q = n*s.
 
     Leading and subleading parts only; the relative error of the dimension
-    itself is O(1/n).
+    itself is O(1/n). Realizable charges sit on a lattice of spacing
+    ``step`` (half the gcd of the doubled-weight differences), so each
+    sector holds ``step`` times the Gaussian density.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
     tp = _thermo_checked(model, s)
-    return (math.log(tp.alpha0)
+    weights = list(weight_multiplicities(model))
+    step = math.gcd(*(w - weights[0] for w in weights)) / 2
+    return (math.log(tp.alpha0 * step)
             + 0.5 * math.log(-tp.eta_pp / (2 * math.pi * n))
             + n * tp.eta)
 

@@ -4,8 +4,8 @@ Subcommands: dims, thermo, page-curve, exact, mc, crosscheck, laplace-check.
 Every subcommand writes csv or json with the same numerical content, always
 prefixed by a self-describing metadata block (model echo, version, seed).
 
-Exit codes: 0 success, 2 usage or domain error, 3 internal invariant
-violation.
+Exit codes: 0 success, 1 a verification ran and failed (crosscheck,
+laplace-check), 2 usage or domain error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .laplace import LaplaceProblem, laplace_discontinuous, laplace_smooth
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
 EXIT_OK = 0
+EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
@@ -234,7 +235,7 @@ def cmd_mc(args) -> int:
     q2 = _parse_charge(args.q)
     config = McConfig(model, args.n, args.na, q2, args.samples, args.seed)
     result = mc_run(config)
-    meta = {"command": "mc", "model": model.as_dict(), "seed": args.seed}
+    meta = {"command": "mc", "model": model.as_dict(), "seed": args.seed, **result.plan}
     rows = [{
         "n": args.n, "n_a": args.na, "q": charge_str(q2),
         "samples": args.samples, "seed": args.seed,
@@ -306,7 +307,7 @@ def cmd_crosscheck(args) -> int:
             "f": str(f), "s": args.s, "samples": args.samples,
             "seed": args.seed, "tolerance": args.tol}
     _emit(rows, meta, args)
-    return EXIT_OK if all_pass else EXIT_USAGE
+    return EXIT_OK if all_pass else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,7 @@ def cmd_laplace_check(args) -> int:
         row["status"] = "pass" if ok else "fail"
         all_pass &= ok
     _emit(rows, {"command": "laplace-check", "n_list": list(ns)}, args)
-    return EXIT_OK if all_pass else EXIT_USAGE
+    return EXIT_OK if all_pass else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,36 @@
 """Monte Carlo over Haar-random pure states of fixed charge.
 
-States are sampled directly in the abstract block decomposition of the
-sector: i.i.d. complex Gaussian amplitudes of total length D_q, normalized
-globally, with the Schmidt spectrum read off blockwise from singular
-values. No spin or occupation basis is ever constructed, which makes SU(2)
-sampling exactly as cheap as U(1).
+The entropy of a Haar-random sector state depends only on its Schmidt
+spectrum: the squared singular values of each complex Gaussian d x b block,
+normalized over all blocks. With m = min(d, b) and M = max(d, b) they have
+the law of the eigenvalues of T = B B^T, where B is the real m x m lower
+bidiagonal matrix with diagonal chi_{2M}, ..., chi_{2(M-m+1)} and
+subdiagonal chi_{2(m-1)}, ..., chi_2, and tr T has the law of the block's
+squared norm (the beta = 2 Laguerre model of Dumitriu & Edelman, J. Math.
+Phys. 43, 5830 (2002)). A rank-1 block is one chi^2_{2M} weight. Blocks of
+one (m, M) shape share one batched eigensolve. No amplitude is drawn.
 
-Each sample is keyed by (seed, sample index) through numpy's seed-sequence
-mechanism, so results are reproducible and independent of evaluation order.
+Samples come in chunks of CHUNK. Chunk c draws all its variates, row by row,
+from a generator keyed by (seed, c) before any eigensolve. So the numbers do
+not depend on chunk order or batch size, and the first k samples of a run
+are those of a k-sample run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ChargeModel, SystemGeometry
-from .sectors import BlockTable, block_table
+from .models import ChargeModel
+from .sectors import block_table
 
-#: refuse to allocate any single block larger than this many amplitudes
-MAX_BLOCK_ENTRIES = 10**7
-
-#: complex amplitudes per batched chunk
-_CHUNK_ENTRY_BUDGET = 2_000_000
+#: samples per generator
+CHUNK = 512
+#: bytes one batch may allocate: the chunk's chi^2 draws plus its T matrices
+MAX_BATCH_BYTES = 32 * 2**20
 
 
 class SectorSizeError(ValueError):
@@ -54,66 +60,60 @@ class McRun:
     mean: float
     std_error: float
     sample_variance: float
+    plan: dict  # sampler facts for the output metadata
 
 
-def _check_budget(table: BlockTable):
-    for qa2, d, b in table.blocks:
-        if d * b > MAX_BLOCK_ENTRIES:
-            raise SectorSizeError(
-                f"block q_A = {qa2}/2 has d*b = {d * b} amplitudes, over the "
-                f"{MAX_BLOCK_ENTRIES} budget"
-            )
+def _tridiagonal(draws: np.ndarray, m: int) -> np.ndarray:
+    """Lower triangle of T = B B^T for rows of [diagonal^2 (m), subdiagonal^2]."""
+    x, y = draws[:, :m], draws[:, m:]
+    t = np.zeros((len(draws), m, m))
+    i = np.arange(m)
+    t[:, i, i] = x
+    t[:, i[1:], i[1:]] += y
+    t[:, i[1:], i[:-1]] = np.sqrt(x[:, :-1] * y)
+    return t
 
 
-def _entropies_from_amplitudes(table: BlockTable, amps: np.ndarray) -> np.ndarray:
-    """Entropy of each row of amplitudes (shape (chunk, D), complex)."""
-    schmidt_sq = []
-    offset = 0
-    for _, d, b in table.blocks:
-        block = amps[:, offset:offset + d * b].reshape(amps.shape[0], d, b)
-        offset += d * b
-        if min(d, b) == 1:
-            # rank-1 block: a single Schmidt weight, the block norm
-            sq = np.sum(block.real**2 + block.imag**2, axis=(1, 2), keepdims=False)
-            schmidt_sq.append(sq[:, None])
-        else:
-            sv = np.linalg.svd(block, compute_uv=False)
-            schmidt_sq.append(sv**2)
-    p = np.concatenate(schmidt_sq, axis=1)
-    p /= p.sum(axis=1, keepdims=True)
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -plogp.sum(axis=1)
-
-
-def _draw(seed: int, index: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, index))
-    return rng.standard_normal(2 * dim).view(np.complex128)
-
-
-def sample_entropy(model: ChargeModel, geometry: SystemGeometry, q_total: int,
-                   rng: np.random.Generator) -> float:
-    """Entanglement entropy of one Haar-random fixed-charge state."""
-    table = block_table(model, geometry.n_total, geometry.n_a, q_total)
-    _check_budget(table)
-    dim = table.sector_dimension
-    amps = rng.standard_normal(2 * dim).view(np.complex128)
-    return float(_entropies_from_amplitudes(table, amps[None, :])[0])
+def _chunk_entropies(groups, dof, seed: int, index: int, rows: int, batch: int):
+    """Entropies of the first ``rows`` samples of chunk ``index``."""
+    draws = np.random.default_rng((seed, index)).chisquare(dof, size=(rows, dof.size))
+    out = np.empty(rows)
+    for lo in range(0, rows, batch):
+        hi, weights, col = min(lo + batch, rows), [], 0
+        for (m, _), count in groups:
+            block = draws[lo:hi, col:col + count * (2 * m - 1)].reshape(-1, 2 * m - 1)
+            col += count * (2 * m - 1)
+            weights.append(block if m == 1 else np.linalg.eigvalsh(_tridiagonal(block, m)))
+        p = np.maximum(np.concatenate([w.reshape(hi - lo, -1) for w in weights], 1), 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+        out[lo:hi] = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+    return out
 
 
 def run(config: McConfig) -> McRun:
     """Sample the configured sector and summarize the entropy statistics."""
     table = block_table(config.model, config.n_total, config.n_a, config.q_total)
-    _check_budget(table)
-    dim = table.sector_dimension
-    chunk = max(1, min(4096, _CHUNK_ENTRY_BUDGET // dim))
-    entropies = np.empty(config.samples)
-    for start in range(0, config.samples, chunk):
-        stop = min(start + chunk, config.samples)
-        amps = np.empty((stop - start, dim), dtype=np.complex128)
-        for i in range(start, stop):
-            amps[i - start] = _draw(config.seed, i, dim)
-        entropies[start:stop] = _entropies_from_amplitudes(table, amps)
-    mean = float(np.mean(entropies))
+    groups = sorted(Counter((min(d, b), max(d, b)) for _, d, b in table.blocks).items())
+    chunk = min(CHUNK, config.samples)
+    draw_bytes = 8 * chunk * sum(count * (2 * m - 1) for (m, _), count in groups)
+    row_bytes = 8 * sum(count * m * m for (m, _), count in groups)
+    if max(big for (_, big), _ in groups) > 2**1000:
+        raise SectorSizeError("a block dimension over 2^1000 overflows the chi^2 draws")
+    if draw_bytes + row_bytes > MAX_BATCH_BYTES:
+        raise SectorSizeError(
+            f"one sample row needs {draw_bytes + row_bytes} bytes ({draw_bytes} of chi^2 "
+            f"draws for {chunk} rows, {row_bytes} of eigensolve matrices), over the "
+            f"{MAX_BATCH_BYTES}-byte batch budget")
+    batch = min(chunk, (MAX_BATCH_BYTES - draw_bytes) // row_bytes)
+    dof = np.concatenate([
+        np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
+        for (m, big), count in groups])
+    entropies = np.concatenate([
+        _chunk_entropies(groups, dof, config.seed, start // CHUNK,
+                         min(CHUNK, config.samples - start), batch)
+        for start in range(0, config.samples, CHUNK)])
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
-    std_error = math.sqrt(var / config.samples)
-    return McRun(config, entropies, mean, std_error, var)
+    plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
+            "max_min_dim": groups[-1][0][0], "batch_bytes": draw_bytes + batch * row_bytes}
+    return McRun(config, entropies, float(np.mean(entropies)),
+                 math.sqrt(var / config.samples), var, plan)

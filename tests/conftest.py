@@ -3,13 +3,17 @@
 These deliberately avoid the library's convolution/difference code paths:
 U(1) counts come from enumerating basis strings, SU(2) multiplicities from
 an explicit angular-momentum ladder recursion, and complement blocks from a
-weight-space invariant count.
+weight-space invariant count. The Monte Carlo oracle draws every complex
+amplitude of the sector and takes an SVD per block, where the library only
+draws each block's Schmidt spectrum.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+
+import numpy as np
 
 from chargepage.models import ChargeModel, GroupKind, weight_multiplicities
 
@@ -77,3 +81,26 @@ def brute_force_su2_weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
     if n == 0:
         return {0: 1}
     return dict(Counter(map(sum, itertools.product(weights, repeat=n))))
+
+
+def dense_amplitudes(table, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Unnormalized Haar-random sector states: i.i.d. complex Gaussian rows."""
+    dim = table.sector_dimension
+    return rng.standard_normal((samples, 2 * dim)).view(np.complex128)
+
+
+def dense_schmidt_weights(table, amps: np.ndarray) -> np.ndarray:
+    """Squared singular values of every block, one row per state (unnormalized)."""
+    weights, offset = [], 0
+    for _, d, b in table.blocks:
+        block = amps[:, offset:offset + d * b].reshape(len(amps), d, b)
+        offset += d * b
+        weights.append(np.linalg.svd(block, compute_uv=False) ** 2)
+    return np.concatenate(weights, axis=1)
+
+
+def dense_entropies(table, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Entanglement entropies of ``samples`` states drawn amplitude by amplitude."""
+    p = dense_schmidt_weights(table, dense_amplitudes(table, rng, samples))
+    p /= p.sum(axis=1, keepdims=True)
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)

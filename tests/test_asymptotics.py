@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from chargepage.models import SystemGeometry, catalog, catalog_names
+from chargepage.models import ChargeModel, SystemGeometry, catalog, catalog_names
 from chargepage.sectors import sector_dims
-from chargepage.thermo import DensityDomainError, thermo_point
+from chargepage.thermo import DensityDomainError, density_interval, thermo_point
 from chargepage.asymptotics import (
     DELTA_TOLERANCE, ExtremalChargeError, InfiniteTemperatureVarianceError,
     Regime, asymptotic_log_dim, average_entropy_asymptotic,
@@ -27,6 +28,34 @@ def test_asymptotic_log_dim_converges_to_exact():
     dims64 = sector_dims(model, 64).dims
     # j = 16 at s = 1/4: absolute log error is O(1/N), well under 0.05 by N=64
     assert abs(math.log(dims64[32]) - asymptotic_log_dim(model, 0.25, 64)) < 0.05
+
+
+_U1_MODELS = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), min_size=2,
+                             max_size=3).map(lambda mult: ChargeModel("U1", mult))
+_SU2_MODELS = st.dictionaries(st.integers(0, 3), st.integers(1, 2), min_size=1,
+                              max_size=2).filter(lambda mult: set(mult) != {0}).map(
+                                  lambda mult: ChargeModel("SU2", mult))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.one_of(_U1_MODELS, _SU2_MODELS), u=st.floats(0.3, 0.7))
+@example(model=ChargeModel("U1", {-2: 1, 2: 1}), u=0.5)  # charge step 2
+@example(model=ChargeModel("U1", {0: 1, 1: 1}), u=0.5)  # charge step 1/2
+@example(model=ChargeModel("SU2", {0: 1, 1: 1}), u=0.5)  # spin step 1/2
+def test_asymptotic_log_dim_matches_exact_for_custom_models(model, u):
+    # exact minus asymptotic log-dimension is O(1/N) whatever the spacing of
+    # the charge lattice. Over 400 random models of this family the worst
+    # N * |err| was 4.9 at N = 128 and 1.4 at N = 256; an error of log(step)
+    # would give N * |err| >= 88.
+    lo, hi = density_interval(model)
+    if model.group.value == "SU2":
+        lo = 0.0
+    for n in (128, 256):
+        dims = sector_dims(model, n).dims
+        target = 2 * n * (lo + u * (hi - lo))
+        q2 = min(dims, key=lambda q: (abs(q - target), q))
+        err = math.log(dims[q2]) - asymptotic_log_dim(model, q2 / (2 * n), n)
+        assert n * abs(err) < 8.0, (model, n, q2, err)
 
 
 def test_asymptotic_log_dim_domain_errors():

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
-from chargepage.cli import main, snap_charge
+import pytest
+
+from chargepage.cli import EXIT_USAGE, EXIT_VERIFY, main, snap_charge
 from chargepage.models import catalog
 
 
@@ -119,6 +121,20 @@ def test_mc_output_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_mc_meta_reports_sampler_plan(capsys):
+    code, out = invoke(capsys, "mc", "--model", "su2-qubit", "--n", "10", "--na", "4",
+                       "--q", "1", "--samples", "20", "--seed", "3", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    # blocks 2x9, 3x19 and 1x15: three shapes, largest min(d, b) = 3
+    assert meta["sampler"] == "laguerre-bidiagonal"
+    assert meta["shape_groups"] == 3
+    assert meta["max_min_dim"] == 3
+    assert meta["chunk"] >= 1
+    # 20 rows of 2*(1+2+3)-3 = 9 draws plus 20 rows of 1+4+9 = 14 matrix entries
+    assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * 20 * 14
+
+
 def test_mc_dump_file(tmp_path, capsys):
     dump = tmp_path / "samples.txt"
     code, _ = invoke(capsys, "mc", "--model", "u1-qubit", "--n", "6", "--na", "3",
@@ -151,6 +167,24 @@ def test_crosscheck_skips_infeasible(capsys):
     assert code == 0  # skipped rows do not fail the run
     _, rows = parse_csv(out)
     assert rows[1]["status"] == "skipped"
+
+
+def test_failed_verification_exits_one(capsys):
+    assert EXIT_VERIFY == 1
+    code, out = invoke(capsys, "crosscheck", "--model", "u1-qubit", "--n-list", "8",
+                       "--f", "1/2", "--s", "0.0", "--samples", "200", "--tol", "1e-9")
+    assert code == EXIT_VERIFY
+    assert parse_csv(out)[1][0]["status"] == "fail"
+    code, out = invoke(capsys, "laplace-check", "--n-list", "2,3,4")
+    assert code == EXIT_VERIFY
+    assert "fail" in {row["status"] for row in parse_csv(out)[1]}
+
+
+def test_invalid_tolerance_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
+              "--s", "0.0", "--tol", "nope"])
+    assert exc.value.code == EXIT_USAGE == 2
 
 
 def test_model_file_flag(tmp_path, capsys):

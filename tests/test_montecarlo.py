@@ -1,15 +1,17 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from chargepage.models import SystemGeometry, catalog
+from chargepage import montecarlo
+from chargepage.models import ChargeModel, catalog
 from chargepage.sectors import block_table
 from chargepage.exactavg import exact_average_entropy
-from chargepage.montecarlo import (
-    McConfig, SectorSizeError, _draw, run, sample_entropy,
-)
+from chargepage.montecarlo import CHUNK, McConfig, SectorSizeError, run
+from conftest import dense_amplitudes, dense_entropies, dense_schmidt_weights
 
 
 def test_one_dimensional_sector_always_zero():
@@ -35,37 +37,62 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.entropies, c.entropies)
 
 
-def test_run_matches_per_sample_path():
-    model = catalog("su2-trimer")
-    config = McConfig(model, 4, 2, 2, 64, 77)
-    batched = run(config)
-    geometry = SystemGeometry(4, 2)
-    table = block_table(model, 4, 2, 2)
-    singles = [
-        sample_entropy(model, geometry, 2,
-                       np.random.default_rng((77, i)))
-        for i in range(64)
-    ]
-    assert np.allclose(batched.entropies, singles, rtol=0, atol=1e-12)
-    assert batched.entropies.shape == (64,)
-    assert table.sector_dimension > 1
+def test_run_prefix_stable_and_chunk_order_free(monkeypatch):
+    # chunk c draws from a generator keyed by (seed, c) alone, row by row:
+    # the first k samples of a run are a k-sample run, and chunks evaluated
+    # in any order give the same entropies
+    config = McConfig(catalog("su2-trimer"), 4, 2, 2, 2 * CHUNK + 37, 77)
+    calls = []
+    chunk_entropies = montecarlo._chunk_entropies
+    monkeypatch.setattr(montecarlo, "_chunk_entropies",
+                        lambda *args: calls.append(args) or chunk_entropies(*args))
+    full = run(config).entropies
+    chunks = list(calls)
+    assert full.shape == (2 * CHUNK + 37,) and len(chunks) == 3
+    for k in (1, 37, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        assert np.array_equal(run(replace(config, samples=k)).entropies, full[:k])
+    last_first = [chunk_entropies(*args) for args in reversed(chunks)]
+    assert np.array_equal(np.concatenate(last_first[::-1]), full)
+
+
+def test_batch_size_does_not_change_numbers(monkeypatch):
+    config = McConfig(catalog("u1-qubit"), 10, 5, 0, CHUNK + 100, 31)
+    reference = run(config)
+    blocks = block_table(config.model, 10, 5, 0).blocks
+    draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
+    row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
+    # room for the chunk's draws and three rows of eigensolve matrices
+    monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", draw_bytes + 3 * row_bytes + 7)
+    small = run(config)
+    assert small.plan["batch_bytes"] == draw_bytes + 3 * row_bytes
+    assert reference.plan["batch_bytes"] == draw_bytes + CHUNK * row_bytes
+    assert np.array_equal(small.entropies, reference.entropies)
 
 
 def test_schmidt_weights_normalized_per_sample():
-    model = catalog("u1-qubit")
-    table = block_table(model, 8, 4, 0)
-    dim = table.sector_dimension
-    amps = np.vstack([_draw(5, i, dim) for i in range(16)])
-    weights = []
-    offset = 0
-    for _, d, b in table.blocks:
-        block = amps[:, offset:offset + d * b].reshape(16, d, b)
-        offset += d * b
-        sv = np.linalg.svd(block, compute_uv=False)
-        weights.append(sv**2)
-    total = np.concatenate(weights, axis=1).sum(axis=1)
+    # the oracle's blockwise SVD weights add up to each state's squared norm
+    table = block_table(catalog("u1-qubit"), 8, 4, 0)
+    amps = dense_amplitudes(table, np.random.default_rng(5), 16)
+    total = dense_schmidt_weights(table, amps).sum(axis=1)
     norms = (np.abs(amps) ** 2).sum(axis=1)
     assert np.allclose(total / norms, 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, n, n_a, q2", [
+    ("u1-qutrit", 6, 1, 0),  # three rank-1 blocks: 1x45, 1x51, 1x45
+    ("su2-qubit", 10, 4, 2),  # rectangular SU(2) blocks: 2x9, 3x19, 1x15
+    ("u1-qubit", 8, 4, 0),  # square U(1) blocks: 1x1, 4x4, 6x6, 4x4, 1x1
+])
+def test_spectrum_sampler_matches_dense_oracle(name, n, n_a, q2):
+    # two-sample KS test of the bidiagonal spectrum sampler against states
+    # drawn amplitude by amplitude, passing at p > 1e-4 per sector: over
+    # random seeds the three cases give a false failure with probability
+    # at most 3e-4.
+    model = catalog(name)
+    table = block_table(model, n, n_a, q2)
+    oracle = dense_entropies(table, np.random.default_rng((q2, n, n_a, 17)), 5000)
+    sampled = run(McConfig(model, n, n_a, q2, 5000, 2024)).entropies
+    assert ks_2samp(oracle, sampled).pvalue > 1e-4
 
 
 def test_entropies_within_sector_bound():
@@ -112,6 +139,45 @@ def test_memory_budget_guard():
     # binom(30, 15)^2 ~ 2.4e16 amplitudes in the central block
     with pytest.raises(SectorSizeError):
         run(McConfig(catalog("u1-qubit"), 60, 30, 0, 1, 0))
+    # no block over 10^7 amplitudes, but one row of T matrices is 353 MB
+    with pytest.raises(SectorSizeError, match="353537248 bytes"):
+        run(McConfig(catalog("u1-qutrit"), 18, 9, 0, 1, 0))
+
+
+def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
+    budget = 2 * 2**20
+    monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
+    model = catalog("u1-qubit")
+
+    def no_draw(*args):
+        raise AssertionError("an over-budget sector must be refused before any draw")
+
+    # N = 22: sum d^2 = binom(22, 11) = 705432, one row of T matrices is 5.6 MB
+    with monkeypatch.context() as patch, \
+            pytest.raises(SectorSizeError, match=r"needs \d+ bytes"):
+        patch.setattr(montecarlo, "_chunk_entropies", no_draw)
+        run(McConfig(model, 22, 11, 0, 10, 1))
+    # N = 14: admitted with about 40 rows per batch
+    config = McConfig(model, 14, 7, 0, 2 * CHUNK, 1)
+    run(replace(config, samples=2))  # first-use allocations of numpy's generator
+    tracemalloc.start()
+    try:
+        result = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.plan["batch_bytes"] <= budget
+    # slack: 1/8 of the budget for what the bound leaves out, the per-row
+    # Schmidt weight vectors and the entropy output (tracemalloc sees numpy's
+    # array buffers, not LAPACK's small workspace)
+    assert peak <= budget + budget // 8
+
+
+def test_block_dimension_beyond_float_range_refused():
+    # a rank-1 block of dimension about 2^1200 has no float64 chi^2 draw
+    model = ChargeModel("U1", {0: 1, 2: 2**200})
+    with pytest.raises(SectorSizeError, match="2\\^1000"):
+        run(McConfig(model, 7, 1, 12, 5, 0))
 
 
 def test_config_validation():
