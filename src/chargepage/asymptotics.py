@@ -217,32 +217,23 @@ def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstima
     Leading order is extensive with coefficient eta(s) up to half-system
     size and mirrored beyond; at f = 1/2 exactly, a negative sqrt(N) term
     with coefficient sqrt(c*/2 pi) appears, replaced by the -1/2-type delta
-    term at the infinite-temperature density.
+    term at the infinite-temperature density. The sum of the three terms of
+    ``entropy_term_breakdown``, whose (1/2) log N pieces cancel.
     """
     frac = _as_fraction(f)
-    tp = _thermo_checked(model, s)
-    ff = float(frac)
-    log_a0 = math.log(tp.alpha0)
-    slope = _alpha_slope_ratio(tp, model.group)
-
+    parts = entropy_term_breakdown(model, frac, s)
+    terms = parts.values()
     if frac == Fraction(1, 2):
-        at_inf_temp = abs(tp.beta_star) < DELTA_TOLERANCE
-        term_o1 = (math.log(0.5) + 0.5) / 2 + 0.5 * log_a0
-        if at_inf_temp:
-            # the sqrt(N) and delta terms are mutually exclusive
-            term_sqrt = 0.0
-            term_o1 -= (tp.alpha0 + 1.0 / tp.alpha0) / 4.0
-        else:
-            term_sqrt = -math.sqrt(tp.c_star / (2 * math.pi))
-        return EntropyEstimate(Regime.F_HALF, 0.5 * tp.eta, term_sqrt, term_o1,
-                               includes_delta=at_inf_temp)
-    if frac < Fraction(1, 2):
-        term_o1 = (math.log(1 - ff) + ff) / 2 + log_a0 - (1 - ff) * slope
-        return EntropyEstimate(Regime.F_BELOW_HALF, ff * tp.eta, 0.0, term_o1,
-                               includes_delta=False)
-    term_o1 = (math.log(ff) + 1 - ff) / 2 + (1 - ff) * slope
-    return EntropyEstimate(Regime.F_ABOVE_HALF, (1 - ff) * tp.eta, 0.0, term_o1,
-                           includes_delta=False)
+        regime = Regime.F_HALF
+    elif frac < Fraction(1, 2):
+        regime = Regime.F_BELOW_HALF
+    else:
+        regime = Regime.F_ABOVE_HALF
+    return EntropyEstimate(regime,
+                           sum(t.term_N for t in terms),
+                           sum(t.term_sqrtN for t in terms),
+                           sum(t.term_O1 for t in terms),
+                           includes_delta=parts["y3"].term_O1 != 0.0)
 
 
 def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:

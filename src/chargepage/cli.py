@@ -31,9 +31,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-#: block tables beyond this many bodies are skipped on the exact path
-EXACT_FEASIBLE_N = 512
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -144,6 +141,7 @@ def cmd_thermo(args) -> int:
 
 def _page_rows(model, n, s, fractions, want_exact):
     rows = []
+    q2 = None  # snapped on the first exact row: n < 2 has no cut to snap for
     for f in fractions:
         est = average_entropy_asymptotic(model, f, s)
         row = {
@@ -154,8 +152,9 @@ def _page_rows(model, n, s, fractions, want_exact):
         }
         if want_exact:
             n_a = round(f * n)
-            if 0 < n_a < n and n <= EXACT_FEASIBLE_N:
-                q2 = snap_charge(model, n, s)
+            if 0 < n_a < n:
+                if q2 is None:
+                    q2 = snap_charge(model, n, s)
                 res = exact_average_entropy(model, n, n_a, q2)
                 row.update(n_a=n_a, f_exact=n_a / n, q_snapped=charge_str(q2),
                            s_snapped=q2 / (2.0 * n), exact=res.value)

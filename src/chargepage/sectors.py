@@ -1,15 +1,21 @@
 """Exact sector dimensions for N copies of the local space.
 
 The group-character integrals that define these dimensions are Fourier
-coefficient extractions, so they are evaluated here as exact integer
-convolutions over the doubled-charge lattice. Python big integers are
-mandatory: k^N overflows machine words at desk scale.
+coefficient extractions: the weight counts over n bodies are the
+coefficients of P(x)^n, where P is the one-body weight polynomial on the
+compressed lattice w = w_min + step*k (step = gcd of the weight
+differences). J.C.P. Miller's power-series recurrence (Knuth, TAOCP Vol. 2,
+section 4.7) yields each coefficient from the previous ones with one exact
+division, so there is no recursion over bodies and nothing to cache. SU(2)
+complement blocks sum spin sectors over the triangle range, and that sum
+telescopes to two weight counts. Python big integers are mandatory: k^N
+overflows machine words at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .models import ChargeModel, GroupKind, weight_multiplicities
 
@@ -57,24 +63,25 @@ class BlockTable:
 
 
 def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
-    """Counts of each doubled total weight over n bodies (n-fold convolution)."""
+    """Counts of each doubled total weight over n bodies, ascending in weight.
+
+    With P(x) = sum_k a_k x^k on the compressed lattice, the coefficients of
+    P(x)^n obey j a_0 c_j = sum_k ((n+1) k - j) a_k c_{j-k} (Miller), and
+    the division by j a_0 is exact.
+    """
     if n < 0:
         raise ValueError(f"n = {n} must be >= 0")
-    return dict(_weight_counts_cached(model, n))
-
-
-@lru_cache(maxsize=4096)
-def _weight_counts_cached(model: ChargeModel, n: int) -> tuple[tuple[int, int], ...]:
-    if n == 0:
-        return ((0, 1),)
     local = weight_multiplicities(model)
-    prev = dict(_weight_counts_cached(model, n - 1))
-    out: dict[int, int] = {}
-    for m2, c in prev.items():
-        for w2, a in local.items():
-            key = m2 + w2
-            out[key] = out.get(key, 0) + c * a
-    return tuple(sorted(out.items()))
+    w_min = min(local)
+    step = math.gcd(*(w - w_min for w in local)) or 1
+    terms = [((w - w_min) // step, a) for w, a in local.items() if w != w_min]
+    a0 = local[w_min]
+    top = (max(local) - w_min) // step
+    c = [a0**n]
+    for j in range(1, n * top + 1):
+        acc = sum(((n + 1) * k - j) * a * c[j - k] for k, a in terms if k <= j)
+        c.append(acc // (j * a0))
+    return {n * w_min + step * j: cj for j, cj in enumerate(c) if cj}
 
 
 def sector_dims(model: ChargeModel, n: int) -> SectorTable:
@@ -99,18 +106,13 @@ def sector_dims(model: ChargeModel, n: int) -> SectorTable:
     return SectorTable(model, n, dims)
 
 
-def triangle_allowed(ja2: int, jb2: int, jc2: int) -> bool:
-    """SU(2) coupling rule: triangle inequality plus integer total spin."""
-    if (ja2 + jb2 + jc2) % 2 != 0:
-        return False
-    return abs(ja2 - jb2) <= jc2 <= ja2 + jb2
-
-
 def block_table(model: ChargeModel, n_total: int, n_a: int, q_total: int) -> BlockTable:
     """Exact block dimensions (d, b) of one total-charge sector.
 
-    U1: b is the complement sector dimension at charge q - q_A.
-    SU2: b_{j,j_A} sums the complement spin sectors over the triangle rule.
+    U1: b is the complement weight count W_B(q - q_A).
+    SU2: b_{j,j_A} sums the complement spin sectors D_B(j_B) over the
+    triangle range |j - j_A| <= j_B <= j + j_A; with D_B(j) = W_B(j) - W_B(j+1)
+    the sum telescopes to W_B(|j - j_A|) - W_B(j + j_A + 1).
     """
     if not 1 <= n_a <= n_total - 1:
         raise ValueError(f"n_a = {n_a} must satisfy 1 <= n_a <= {n_total - 1}")
@@ -121,21 +123,16 @@ def block_table(model: ChargeModel, n_total: int, n_a: int, q_total: int) -> Blo
             f"{model.name or model.group.value} with n = {n_total}"
         )
     a_dims = sector_dims(model, n_a).dims
-    b_dims = sector_dims(model, n_total - n_a).dims
+    w_b = weight_counts(model, n_total - n_a)
+    su2 = model.group is GroupKind.SU2
     blocks = []
-    if model.group is GroupKind.U1:
-        for qa2, d in a_dims.items():
-            b = b_dims.get(q_total - qa2, 0)
-            if b >= 1:
-                blocks.append((qa2, d, b))
-    else:
-        for qa2, d in a_dims.items():
-            b = 0
-            for qb2, db in b_dims.items():
-                if triangle_allowed(qa2, qb2, q_total):
-                    b += db
-            if b >= 1:
-                blocks.append((qa2, d, b))
+    for qa2, d in a_dims.items():
+        if su2:
+            b = w_b.get(abs(q_total - qa2), 0) - w_b.get(q_total + qa2 + 2, 0)
+        else:
+            b = w_b.get(q_total - qa2, 0)
+        if b >= 1:
+            blocks.append((qa2, d, b))
     table = BlockTable(model, n_total, n_a, q_total, tuple(sorted(blocks)))
     if table.sector_dimension != full.dims[q_total]:
         raise RuntimeError(

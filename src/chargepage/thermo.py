@@ -54,9 +54,14 @@ class ThermoPoint:
     alpha0: float
 
 
-def _weight_items(model: ChargeModel) -> list[tuple[float, int]]:
-    """(physical weight, multiplicity) pairs, ascending in weight."""
-    return [(0.5 * m2, a) for m2, a in sorted(weight_multiplicities(model).items())]
+def _shifted_weights(model: ChargeModel, beta: float) -> tuple[float, dict[int, float]]:
+    """Shift and rescaled Boltzmann weights a_m exp(-beta m - shift).
+
+    The shift is the largest exponent, so no term overflows for finite beta.
+    """
+    weights = weight_multiplicities(model)
+    shift = max(-beta * 0.5 * m2 for m2 in weights)
+    return shift, {m2: a * math.exp(-beta * 0.5 * m2 - shift) for m2, a in weights.items()}
 
 
 def gibbs(model: ChargeModel, beta: float) -> ChargeDistribution:
@@ -66,18 +71,9 @@ def gibbs(model: ChargeModel, beta: float) -> ChargeDistribution:
     """
     if not math.isfinite(beta):
         raise ValueError(f"beta = {beta} must be finite")
-    weights = weight_multiplicities(model)
-    shift = max(-beta * 0.5 * m2 for m2 in weights)
-    raw = {m2: a * math.exp(-beta * 0.5 * m2 - shift) for m2, a in weights.items()}
+    _, raw = _shifted_weights(model, beta)
     z = math.fsum(raw.values())
     return ChargeDistribution({m2: r / z for m2, r in raw.items()}, beta)
-
-
-def _log_partition(model: ChargeModel, beta: float) -> float:
-    weights = weight_multiplicities(model)
-    shift = max(-beta * 0.5 * m2 for m2 in weights)
-    s = math.fsum(a * math.exp(-beta * 0.5 * m2 - shift) for m2, a in weights.items())
-    return shift + math.log(s)
 
 
 def density_interval(model: ChargeModel) -> tuple[float, float]:
@@ -147,7 +143,8 @@ def thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
     )
     eta_kl = math.log(k) - kl
     # route (b): Legendre form log Z(beta) + beta * s
-    eta_legendre = _log_partition(model, beta) + beta * s
+    shift, raw = _shifted_weights(model, beta)
+    eta_legendre = shift + math.log(math.fsum(raw.values())) + beta * s
     if abs(eta_kl - eta_legendre) > 1e-10 * max(1.0, abs(eta_legendre)):
         raise RuntimeError(
             f"eta routes disagree: KL form {eta_kl} vs Legendre form {eta_legendre}"

@@ -3,9 +3,11 @@
 These deliberately avoid the library's convolution/difference code paths:
 U(1) counts come from enumerating basis strings, SU(2) multiplicities from
 an explicit angular-momentum ladder recursion, and complement blocks from a
-weight-space invariant count. The Monte Carlo oracle draws every complex
-amplitude of the sector and takes an SVD per block, where the library only
-draws each block's Schmidt spectrum.
+weight-space invariant count. Larger sizes use a body-by-body convolution
+(the library uses Miller's recurrence) and the explicit triangle-rule
+double loop over complement spins (the library telescopes it). The Monte
+Carlo oracle draws every complex amplitude of the sector and takes an SVD
+per block, where the library only draws each block's Schmidt spectrum.
 """
 
 from __future__ import annotations
@@ -81,6 +83,42 @@ def brute_force_su2_weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
     if n == 0:
         return {0: 1}
     return dict(Counter(map(sum, itertools.product(weights, repeat=n))))
+
+
+def convolution_weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
+    """Doubled total-weight histogram by convolving one body at a time."""
+    local = weight_multiplicities(model)
+    counts = {0: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for m2, c in counts.items():
+            for w2, a in local.items():
+                nxt[m2 + w2] = nxt.get(m2 + w2, 0) + c * a
+        counts = nxt
+    return counts
+
+
+def triangle_blocks(model: ChargeModel, n: int, n_a: int,
+                    q2: int) -> list[tuple[int, int, int]]:
+    """(q_a, d, b) triples; SU(2) b sums complement spins over the triangle rule."""
+    def dims(m):
+        counts = convolution_weight_counts(model, m)
+        if model.group is GroupKind.U1:
+            return counts
+        return {j2: w - counts.get(j2 + 2, 0) for j2, w in counts.items()
+                if j2 >= 0 and w > counts.get(j2 + 2, 0)}
+
+    a_dims, b_dims = dims(n_a), dims(n - n_a)
+    blocks = []
+    for qa2, d in sorted(a_dims.items()):
+        if model.group is GroupKind.U1:
+            b = b_dims.get(q2 - qa2, 0)
+        else:
+            b = sum(db for qb2, db in b_dims.items()
+                    if (qa2 + qb2 + q2) % 2 == 0 and abs(qa2 - qb2) <= q2 <= qa2 + qb2)
+        if b:
+            blocks.append((qa2, d, b))
+    return blocks
 
 
 def dense_amplitudes(table, rng: np.random.Generator, samples: int) -> np.ndarray:

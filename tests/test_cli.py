@@ -79,6 +79,32 @@ def test_page_curve_snap_reporting(capsys):
     assert float(row["exact"]) > 0
 
 
+def test_page_curve_exact_rows_blank_without_a_cut(capsys):
+    for n in ("0", "1"):
+        code, out = invoke(capsys, "page-curve", "--model", "u1-qubit", "--n", n,
+                           "--s", "0.1", "--points", "3", "--exact")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 3 and all(row["exact"] == "" for row in rows)
+
+
+def test_page_curve_exact_at_large_n(capsys):
+    code, out = invoke(capsys, "page-curve", "--model", "u1-qubit", "--n", "600",
+                       "--s", "0.1", "--f", "1/2", "--exact")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["exact"] != ""
+    assert abs(float(rows[0]["exact"]) - float(rows[0]["total"])) < 0.5
+
+
+def test_dims_at_large_n(capsys):
+    code, out = invoke(capsys, "dims", "--model", "u1-qubit", "--n", "512")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 513
+    assert sum(int(row["dimension"]) for row in rows) == 2**512
+
+
 def test_page_curve_half_row_has_sqrt_deficit(capsys):
     code, out = invoke(capsys, "page-curve", "--model", "u1-qubit", "--n", "32",
                        "--s", "0.25", "--f", "1/4,1/2,3/4")

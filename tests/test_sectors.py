@@ -1,17 +1,17 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names
 from chargepage.sectors import (
     EmptySectorError, block_table, realizable_charges, sector_dims,
-    triangle_allowed, weight_counts,
+    weight_counts,
 )
 
 from conftest import (
-    brute_force_u1_blocks, brute_force_u1_counts, ladder_su2_dims,
-    su2_weight_space_b,
+    brute_force_u1_blocks, brute_force_u1_counts, convolution_weight_counts,
+    ladder_su2_dims, su2_weight_space_b, triangle_blocks,
 )
 
 
@@ -147,18 +147,12 @@ def test_unrealizable_charge_raises():
         block_table(catalog("u1-qubit"), 4, 0, 0)  # trivial cut
 
 
-def test_triangle_rule():
-    assert triangle_allowed(1, 1, 0)
-    assert triangle_allowed(1, 1, 2)
-    assert not triangle_allowed(1, 1, 1)  # half-integer total
-    assert not triangle_allowed(1, 1, 4)
-    assert triangle_allowed(2, 4, 2)
-
-
 def random_small_models():
-    u1 = st.dictionaries(st.integers(-4, 4), st.integers(1, 2),
-                         min_size=2, max_size=3).map(
-        lambda m: ChargeModel(GroupKind.U1, m)
+    # U(1) charges on lattices of spacing 1, 2 or 3 in the doubled charge
+    u1 = st.tuples(st.dictionaries(st.integers(-4, 4), st.integers(1, 2),
+                                   min_size=2, max_size=3),
+                   st.integers(1, 3)).map(
+        lambda ms: ChargeModel(GroupKind.U1, {ms[1] * q2: a for q2, a in ms[0].items()})
     )
     su2 = st.dictionaries(st.integers(0, 4), st.integers(1, 2),
                           min_size=1, max_size=2).filter(
@@ -176,6 +170,48 @@ def test_block_normalization_random_models(model, n, cut):
     for q2, dim in full.items():
         table = block_table(model, n, n_a, q2)
         assert table.sector_dimension == dim
+
+
+LATTICE_EXAMPLES = (
+    ChargeModel(GroupKind.U1, {-2: 1, 2: 1}),
+    ChargeModel(GroupKind.U1, {0: 1, 3: 2}),
+    ChargeModel(GroupKind.SU2, {0: 2}),  # a single weight: no lattice step
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=random_small_models(), n=st.integers(0, 12))
+@example(model=LATTICE_EXAMPLES[0], n=9)
+@example(model=LATTICE_EXAMPLES[1], n=8)
+@example(model=LATTICE_EXAMPLES[2], n=7)
+def test_weight_counts_match_naive_convolution(model, n):
+    counts = weight_counts(model, n)
+    assert counts == convolution_weight_counts(model, n)
+    assert list(counts) == sorted(counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=random_small_models(), n=st.integers(2, 8))
+@example(model=LATTICE_EXAMPLES[0], n=6)
+@example(model=LATTICE_EXAMPLES[1], n=5)
+@example(model=LATTICE_EXAMPLES[2], n=4)
+def test_blocks_match_triangle_double_loop(model, n):
+    for n_a in range(1, n):
+        for q2 in realizable_charges(model, n):
+            assert (list(block_table(model, n, n_a, q2).blocks)
+                    == triangle_blocks(model, n, n_a, q2))
+
+
+def test_sector_dims_large_n_closed_forms():
+    n = 2000
+    assert sector_dims(catalog("u1-qubit"), n).dims == {
+        2 * k - n: comb(n, k) for k in range(n + 1)}
+    n = 1000
+    expected = {}
+    for j2 in range(0, n + 1, 2):
+        k = (n - j2) // 2  # C(n, n/2 - j) - C(n, n/2 - j - 1)
+        expected[j2] = comb(n, k) - (comb(n, k - 1) if k else 0)
+    assert sector_dims(catalog("su2-qubit"), n).dims == expected
 
 
 def test_serialization_decimal_strings():
