@@ -11,7 +11,7 @@ from .models import (
     catalog, catalog_names, load_model, weight_multiplicities,
 )
 from .sectors import (
-    BlockTable, SectorTable, block_table, realizable_charges,
+    BlockTable, SectorTable, block_table, block_tables, realizable_charges,
     sector_dims, weight_counts,
 )
 from .thermo import (
@@ -24,7 +24,8 @@ from .asymptotics import (
     charge_density_moments, entropy_term_breakdown, laplace_discontinuous,
     laplace_smooth, subsystem_charge_distribution, variance_asymptotic,
 )
-from .exactavg import ExactAverage, digamma, exact_average_entropy
+from .exactavg import ExactAverage, block_average_entropy, digamma, \
+    exact_average_entropy
 from .montecarlo import McConfig, McRun, run
 
 __version__ = "0.1.0"
@@ -32,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ChargeModel", "GroupKind", "SystemGeometry", "catalog", "catalog_names",
     "load_model", "weight_multiplicities",
-    "BlockTable", "SectorTable", "block_table", "realizable_charges",
-    "sector_dims", "weight_counts",
+    "BlockTable", "SectorTable", "block_table", "block_tables",
+    "realizable_charges", "sector_dims", "weight_counts",
     "ChargeDistribution", "ThermoPoint", "catalog_closed_forms",
     "density_interval", "gibbs", "infinite_temperature_density",
     "solve_beta_star", "thermo_point",
@@ -43,7 +44,7 @@ __all__ = [
     "charge_density_moments", "entropy_term_breakdown",
     "laplace_discontinuous", "laplace_smooth",
     "subsystem_charge_distribution", "variance_asymptotic",
-    "ExactAverage", "digamma", "exact_average_entropy",
+    "ExactAverage", "block_average_entropy", "digamma", "exact_average_entropy",
     "McConfig", "McRun", "run",
     "__version__",
 ]

@@ -28,9 +28,9 @@ __all__ = [
     "Regime", "EntropyEstimate", "AsymptoticTerms", "VarianceAsymptotics",
     "SubsystemChargeDistribution",
     "ExtremalChargeError", "InfiniteTemperatureVarianceError",
-    "asymptotic_log_dim", "charge_density_moments",
-    "average_entropy_asymptotic", "variance_asymptotic",
-    "entropy_term_breakdown", "subsystem_charge_distribution",
+    "asymptotic_log_dim", "charge_density_moments", "checked_thermo_point",
+    "average_entropy_asymptotic", "estimate_at_point", "variance_asymptotic",
+    "entropy_term_breakdown", "breakdown_at_point", "subsystem_charge_distribution",
     "LaplaceProblem", "laplace_smooth", "laplace_discontinuous",
     "NotAMaximumError", "DegeneratePrefactorError", "DELTA_TOLERANCE",
 ]
@@ -112,7 +112,8 @@ def _as_fraction(f) -> Fraction:
     return frac
 
 
-def _thermo_checked(model: ChargeModel, s: float) -> ThermoPoint:
+def checked_thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
+    """``thermo_point``, refusing the SU(2) extremal density s <= 0 first."""
     if model.group is GroupKind.SU2 and s <= 0:
         raise ExtremalChargeError(
             "SU2 asymptotics need charge density s > 0; s = 0 is the extremal "
@@ -140,7 +141,7 @@ def asymptotic_log_dim(model: ChargeModel, s: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
-    tp = _thermo_checked(model, s)
+    tp = checked_thermo_point(model, s)
     weights = list(weight_multiplicities(model))
     step = math.gcd(*(w - weights[0] for w in weights)) / 2
     return (math.log(tp.alpha0 * step)
@@ -155,7 +156,7 @@ def charge_density_moments(model: ChargeModel, f, s: float) -> dict:
     var(t) = variance/N in the thermodynamic limit.
     """
     frac = _as_fraction(f)
-    tp = _thermo_checked(model, s)
+    tp = checked_thermo_point(model, s)
     ff = float(frac)
     v = (1.0 - ff) / ((-tp.eta_pp) * ff)
     if model.group is GroupKind.U1:
@@ -173,11 +174,16 @@ def entropy_term_breakdown(model: ChargeModel, f, s: float) -> dict:
     zero except at f = 1/2 and infinite-temperature density.
     """
     frac = _as_fraction(f)
-    tp = _thermo_checked(model, s)
+    return breakdown_at_point(checked_thermo_point(model, s), model.group, frac)
+
+
+def breakdown_at_point(tp: ThermoPoint, group: GroupKind, f) -> dict:
+    """``entropy_term_breakdown`` from an already solved thermodynamic point."""
+    frac = _as_fraction(f)
     ff = float(frac)
     half_log = 0.5 * math.log(-tp.eta_pp / (2 * math.pi))
     log_a0 = math.log(tp.alpha0)
-    slope = _alpha_slope_ratio(tp, model.group)
+    slope = _alpha_slope_ratio(tp, group)
     at_inf_temp = abs(tp.beta_star) < DELTA_TOLERANCE
 
     y1 = AsymptoticTerms(term_N=tp.eta, term_sqrtN=0.0, term_logN=-0.5,
@@ -221,7 +227,13 @@ def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstima
     ``entropy_term_breakdown``, whose (1/2) log N pieces cancel.
     """
     frac = _as_fraction(f)
-    parts = entropy_term_breakdown(model, frac, s)
+    return estimate_at_point(checked_thermo_point(model, s), model.group, frac)
+
+
+def estimate_at_point(tp: ThermoPoint, group: GroupKind, f) -> EntropyEstimate:
+    """``average_entropy_asymptotic`` from an already solved thermodynamic point."""
+    frac = _as_fraction(f)
+    parts = breakdown_at_point(tp, group, frac)
     terms = parts.values()
     if frac == Fraction(1, 2):
         regime = Regime.F_HALF
@@ -239,7 +251,7 @@ def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstima
 def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:
     """Log-domain coefficient and rate of the exponentially suppressed variance."""
     frac = _as_fraction(f)
-    tp = _thermo_checked(model, s)
+    tp = checked_thermo_point(model, s)
     if abs(tp.beta_star) < DELTA_TOLERANCE:
         raise InfiniteTemperatureVarianceError(
             f"s = {s} is the infinite-temperature density; the variance "

@@ -19,10 +19,11 @@ from fractions import Fraction
 from . import __version__
 from .models import ChargeModel, GroupKind, catalog, catalog_names, \
     charge_str, load_model
-from .sectors import block_table, realizable_charges, sector_dims
+from .sectors import SectorTable, block_table, block_tables, sector_dims
 from .thermo import catalog_closed_forms, density_interval, thermo_point
-from .asymptotics import average_entropy_asymptotic
-from .exactavg import exact_average_entropy
+from .asymptotics import average_entropy_asymptotic, checked_thermo_point, \
+    estimate_at_point
+from .exactavg import block_average_entropy, exact_average_entropy
 from .laplace import LaplaceProblem, laplace_discontinuous, laplace_smooth
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
@@ -63,9 +64,17 @@ def _parse_fraction(text: str) -> Fraction:
 
 def snap_charge(model: ChargeModel, n: int, s: float) -> int:
     """Nearest realizable doubled total charge to density s for n bodies."""
-    target = 2.0 * s * n
-    lattice = realizable_charges(model, n)
-    return min(lattice, key=lambda q2: (abs(q2 - target), q2))
+    return _snap(sector_dims(model, n), s)
+
+
+def _snap(full: SectorTable, s: float) -> int:
+    target = 2.0 * s * full.n
+    return min(full.dims, key=lambda q2: (abs(q2 - target), q2))
+
+
+def _require(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _cell(value) -> str:
@@ -118,6 +127,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_thermo(args) -> int:
+    _require("--grid", args.grid, 1)
     model = _resolve_model(args)
     lo, hi = density_interval(model)
     if model.group is GroupKind.SU2:
@@ -140,10 +150,29 @@ def cmd_thermo(args) -> int:
 
 
 def _page_rows(model, n, s, fractions, want_exact):
+    """Rows of one page curve and, with ``want_exact``, the exact route's meta.
+
+    beta*(s), the N-body convolution and the charge snap are done once per
+    curve; ``block_tables`` convolves each mirror pair of cuts once.
+    """
+    tp = checked_thermo_point(model, s)
+    cuts = [round(f * n) for f in fractions]
+    exact, meta = {}, {}
+    if want_exact:
+        inner = {n_a for n_a in cuts if 0 < n_a < n}
+        q2 = None  # n < 2 has no cut to snap for
+        if inner:
+            full = sector_dims(model, n)
+            q2 = _snap(full, s)
+            exact = {table.n_a: block_average_entropy(table).value
+                     for table in block_tables(full, q2, inner)}
+        bodies = inner | {n - n_a for n_a in inner}
+        meta = {"q_snapped": None if q2 is None else charge_str(q2),
+                "distinct_cuts": len(inner),
+                "convolutions": len(bodies) + 1 if bodies else 0}
     rows = []
-    q2 = None  # snapped on the first exact row: n < 2 has no cut to snap for
-    for f in fractions:
-        est = average_entropy_asymptotic(model, f, s)
+    for f, n_a in zip(fractions, cuts):
+        est = estimate_at_point(tp, model.group, f)
         row = {
             "f": float(f), "s": s, "n": n, "regime": est.regime.value,
             "term_N": est.term_N, "term_sqrtN": est.term_sqrtN,
@@ -151,18 +180,14 @@ def _page_rows(model, n, s, fractions, want_exact):
             "total": est.total(n),
         }
         if want_exact:
-            n_a = round(f * n)
-            if 0 < n_a < n:
-                if q2 is None:
-                    q2 = snap_charge(model, n, s)
-                res = exact_average_entropy(model, n, n_a, q2)
-                row.update(n_a=n_a, f_exact=n_a / n, q_snapped=charge_str(q2),
-                           s_snapped=q2 / (2.0 * n), exact=res.value)
+            if n_a in exact:
+                row.update(n_a=n_a, f_exact=n_a / n, q_snapped=meta["q_snapped"],
+                           s_snapped=q2 / (2.0 * n), exact=exact[n_a])
             else:
                 row.update(n_a="", f_exact="", q_snapped="", s_snapped="",
                            exact="")
         rows.append(row)
-    return rows
+    return rows, meta
 
 
 def _plot_svg(rows, path, n):
@@ -202,14 +227,16 @@ def _plot_svg(rows, path, n):
 
 
 def cmd_page_curve(args) -> int:
+    _require("--n", args.n, 0)
+    _require("--points", args.points, 1)
     model = _resolve_model(args)
     if args.f:
         fractions = [_parse_fraction(tok) for tok in args.f.split(",")]
     else:
         fractions = [Fraction(i, args.points + 1) for i in range(1, args.points + 1)]
-    rows = _page_rows(model, args.n, args.s, fractions, args.exact)
+    rows, exact_meta = _page_rows(model, args.n, args.s, fractions, args.exact)
     meta = {"command": "page-curve", "model": model.as_dict(), "n": args.n,
-            "s": args.s}
+            "s": args.s, **exact_meta}
     _emit(rows, meta, args)
     if args.plot:
         _plot_svg(rows, args.plot, args.n)

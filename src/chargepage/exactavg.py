@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .models import ChargeModel, SystemGeometry
-from .sectors import EmptySectorError, block_table, sector_dims
+from .sectors import BlockTable, EmptySectorError, block_table, sector_dims
 
 # asymptotic tail: psi(x) = log x - 1/(2x) - sum c_k / x^(2k), valid for x >= 10
 _TAIL_COEFFS = (
@@ -84,11 +84,10 @@ def exact_average_entropy(model: ChargeModel, n_total: int, n_a: int,
                           q_total: int) -> ExactAverage:
     """Ensemble-average entanglement entropy at fixed total charge.
 
-    Evaluates psi(D+1) minus the weighted digamma and min-ratio sums over
-    the block decomposition. Block weights d*b/D are exp(log d + log b -
-    log D); max/min comparisons stay in exact integers.
+    The cuts n_a = 0 and n_a = n_total are flagged degenerate with entropy 0;
+    every other cut is ``block_average_entropy`` of its block table.
     """
-    geometry = SystemGeometry(n_total, n_a)
+    geometry = SystemGeometry(n_total, n_a)  # rejects a bad cut before any convolution
     if n_a in (0, n_total):
         if sector_dims(model, n_total).dims.get(q_total, 0) < 1:
             raise EmptySectorError(
@@ -96,8 +95,17 @@ def exact_average_entropy(model: ChargeModel, n_total: int, n_a: int,
                 f"for n = {n_total}"
             )
         return ExactAverage(0.0, 0.0, 0.0, 0.0, q_total, geometry, degenerate=True)
+    return block_average_entropy(block_table(model, n_total, n_a, q_total))
 
-    table = block_table(model, n_total, n_a, q_total)
+
+def block_average_entropy(table: BlockTable) -> ExactAverage:
+    """Ensemble-average entanglement entropy of one block decomposition.
+
+    Evaluates psi(D+1) minus the weighted digamma and min-ratio sums over
+    the blocks. Block weights d*b/D are exp(log d + log b - log D); max/min
+    comparisons stay in exact integers.
+    """
+    geometry = SystemGeometry(table.n_total, table.n_a)
     dim = table.sector_dimension
     log_dim = math.log(dim)
 
@@ -113,4 +121,4 @@ def exact_average_entropy(model: ChargeModel, n_total: int, n_a: int,
         y3_terms.append(-0.5 * ratio * weight)
     y2 = math.fsum(y2_terms)
     y3 = math.fsum(y3_terms)
-    return ExactAverage(y1 + y2 + y3, y1, y2, y3, q_total, geometry)
+    return ExactAverage(y1 + y2 + y3, y1, y2, y3, table.q_total, geometry)

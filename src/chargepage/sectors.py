@@ -8,13 +8,16 @@ differences). J.C.P. Miller's power-series recurrence (Knuth, TAOCP Vol. 2,
 section 4.7) yields each coefficient from the previous ones with one exact
 division, so there is no recursion over bodies and nothing to cache. SU(2)
 complement blocks sum spin sectors over the triangle range, and that sum
-telescopes to two weight counts. Python big integers are mandatory: k^N
+telescopes to two weight counts. The tables of the cuts n_A and N - n_A
+are built from the same two weight counts, so many cuts of one sector cost
+one convolution per mirror pair. Python big integers are mandatory: k^N
 overflows machine words at desk scale.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .models import ChargeModel, GroupKind, weight_multiplicities
@@ -48,7 +51,8 @@ class BlockTable:
 
     ``blocks`` lists (2*q_a, d, b) with d = dim of the A-side charge sector
     and b = dim of the complement factor, sorted by q_a ascending. Only
-    blocks with d >= 1 and b >= 1 appear, and sum(d*b) == D_{q_total}.
+    blocks with d >= 1 and b >= 1 appear, and ``sector_dimension`` is
+    D_{q_total}, stored once sum(d*b) has been checked against it.
     """
 
     model: ChargeModel
@@ -56,10 +60,7 @@ class BlockTable:
     n_a: int
     q_total: int
     blocks: tuple[tuple[int, int, int], ...]
-
-    @property
-    def sector_dimension(self) -> int:
-        return sum(d * b for _, d, b in self.blocks)
+    sector_dimension: int
 
 
 def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
@@ -84,6 +85,20 @@ def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
     return {n * w_min + step * j: cj for j, cj in enumerate(c) if cj}
 
 
+def _dims_from_counts(model: ChargeModel, counts: dict[int, int]) -> dict[int, int]:
+    """Sector dimensions from weight counts (see ``sector_dims``)."""
+    if model.group is GroupKind.U1:
+        return counts
+    dims = {}
+    for j2, w in counts.items():
+        if j2 < 0:
+            continue
+        d = w - counts.get(j2 + 2, 0)
+        if d > 0:
+            dims[j2] = d
+    return dims
+
+
 def sector_dims(model: ChargeModel, n: int) -> SectorTable:
     """Exact dimension of every fixed-charge sector for n bodies.
 
@@ -93,52 +108,66 @@ def sector_dims(model: ChargeModel, n: int) -> SectorTable:
     """
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
-    counts = weight_counts(model, n)
-    if model.group is GroupKind.U1:
-        return SectorTable(model, n, counts)
-    dims = {}
-    for j2, w in counts.items():
-        if j2 < 0:
-            continue
-        d = w - counts.get(j2 + 2, 0)
-        if d > 0:
-            dims[j2] = d
-    return SectorTable(model, n, dims)
+    return SectorTable(model, n, _dims_from_counts(model, weight_counts(model, n)))
 
 
-def block_table(model: ChargeModel, n_total: int, n_a: int, q_total: int) -> BlockTable:
-    """Exact block dimensions (d, b) of one total-charge sector.
-
-    U1: b is the complement weight count W_B(q - q_A).
-    SU2: b_{j,j_A} sums the complement spin sectors D_B(j_B) over the
-    triangle range |j - j_A| <= j_B <= j + j_A; with D_B(j) = W_B(j) - W_B(j+1)
-    the sum telescopes to W_B(|j - j_A|) - W_B(j + j_A + 1).
-    """
+def _check_cut(n_total: int, n_a: int) -> None:
     if not 1 <= n_a <= n_total - 1:
         raise ValueError(f"n_a = {n_a} must satisfy 1 <= n_a <= {n_total - 1}")
-    full = sector_dims(model, n_total)
-    if full.dims.get(q_total, 0) < 1:
-        raise EmptySectorError(
-            f"charge {q_total}/2 (doubled {q_total}) is not realizable for "
-            f"{model.name or model.group.value} with n = {n_total}"
-        )
-    a_dims = sector_dims(model, n_a).dims
-    w_b = weight_counts(model, n_total - n_a)
-    su2 = model.group is GroupKind.SU2
+
+
+def _cut_table(full: SectorTable, q_total: int, n_a: int,
+               w_a: dict[int, int], w_b: dict[int, int]) -> BlockTable:
+    """One cut's table from the weight counts W(n_a) and W(N - n_a)."""
+    su2 = full.model.group is GroupKind.SU2
     blocks = []
-    for qa2, d in a_dims.items():
+    for qa2, d in _dims_from_counts(full.model, w_a).items():
         if su2:
             b = w_b.get(abs(q_total - qa2), 0) - w_b.get(q_total + qa2 + 2, 0)
         else:
             b = w_b.get(q_total - qa2, 0)
         if b >= 1:
             blocks.append((qa2, d, b))
-    table = BlockTable(model, n_total, n_a, q_total, tuple(sorted(blocks)))
-    if table.sector_dimension != full.dims[q_total]:
-        raise RuntimeError(
-            f"block normalization broken: sum d*b = {table.sector_dimension} "
-            f"!= D_q = {full.dims[q_total]}"
+    total, dim = sum(d * b for _, d, b in blocks), full.dims[q_total]
+    if total != dim:
+        raise RuntimeError(f"block normalization broken: sum d*b = {total} != D_q = {dim}")
+    return BlockTable(full.model, full.n, n_a, q_total, tuple(sorted(blocks)), dim)
+
+
+def block_tables(full: SectorTable, q_total: int,
+                 cuts: Iterable[int]) -> Iterator[BlockTable]:
+    """Exact block dimensions (d, b) of one sector at each distinct cut.
+
+    U1: b is the complement weight count W_B(q - q_A).
+    SU2: b_{j,j_A} sums the complement spin sectors D_B(j_B) over the
+    triangle range |j - j_A| <= j_B <= j + j_A; with D_B(j) = W_B(j) - W_B(j+1)
+    the sum telescopes to W_B(|j - j_A|) - W_B(j + j_A + 1).
+
+    The cuts a and N - a need the same two weight counts W(a) and W(N - a),
+    so tables come one mirror pair at a time, in ascending order of the
+    smaller cut, and each pair's counts are dropped before the next pair's
+    are convolved.
+    """
+    model, n_total = full.model, full.n
+    wanted = set(cuts)
+    for n_a in sorted(wanted):
+        _check_cut(n_total, n_a)
+    if full.dims.get(q_total, 0) < 1:
+        raise EmptySectorError(
+            f"charge {q_total}/2 (doubled {q_total}) is not realizable for "
+            f"{model.name or model.group.value} with n = {n_total}"
         )
+    for small in sorted({min(a, n_total - a) for a in wanted}):
+        counts = {m: weight_counts(model, m) for m in sorted({small, n_total - small})}
+        for n_a in sorted(wanted & counts.keys()):
+            yield _cut_table(full, q_total, n_a, counts[n_a], counts[n_total - n_a])
+        del counts  # freed before the next pair is convolved
+
+
+def block_table(model: ChargeModel, n_total: int, n_a: int, q_total: int) -> BlockTable:
+    """Exact block dimensions of one total-charge sector at one cut."""
+    _check_cut(n_total, n_a)  # before sector_dims, which rejects n_total < 1
+    (table,) = block_tables(sector_dims(model, n_total), q_total, [n_a])
     return table
 
 

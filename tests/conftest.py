@@ -16,8 +16,23 @@ import itertools
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chargepage.models import ChargeModel, GroupKind, weight_multiplicities
+
+
+def random_small_models():
+    # U(1) charges on lattices of spacing 1, 2 or 3 in the doubled charge
+    u1 = st.tuples(st.dictionaries(st.integers(-4, 4), st.integers(1, 2),
+                                   min_size=2, max_size=3),
+                   st.integers(1, 3)).map(
+        lambda ms: ChargeModel(GroupKind.U1, {ms[1] * q2: a for q2, a in ms[0].items()})
+    )
+    su2 = st.dictionaries(st.integers(0, 4), st.integers(1, 2),
+                          min_size=1, max_size=2).filter(
+        lambda m: sum((j2 + 1) * a for j2, a in m.items()) >= 2
+    ).map(lambda m: ChargeModel(GroupKind.SU2, m))
+    return st.one_of(u1, su2)
 
 
 def body_weight_list(model: ChargeModel) -> list[int]:

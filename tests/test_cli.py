@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from chargepage import sectors
 from chargepage.cli import EXIT_USAGE, EXIT_VERIFY, main, snap_charge
-from chargepage.models import catalog
+from chargepage.exactavg import exact_average_entropy
+from chargepage.models import GroupKind, catalog, catalog_names
+from chargepage.thermo import density_interval
+
+from conftest import random_small_models
 
 
 def invoke(capsys, *argv):
@@ -84,8 +92,127 @@ def test_page_curve_exact_rows_blank_without_a_cut(capsys):
         code, out = invoke(capsys, "page-curve", "--model", "u1-qubit", "--n", n,
                            "--s", "0.1", "--points", "3", "--exact")
         assert code == 0
-        _, rows = parse_csv(out)
+        meta, rows = parse_csv(out)
         assert len(rows) == 3 and all(row["exact"] == "" for row in rows)
+        assert meta["q_snapped"] is None
+        assert meta["distinct_cuts"] == meta["convolutions"] == 0
+
+
+def _density(model, u):
+    lo, hi = density_interval(model)
+    if model.group is GroupKind.SU2:
+        lo = 0.0
+    return lo + u * (hi - lo)
+
+
+def exact_curve(capsys, model_args, n, s, grid_args):
+    code, out = invoke(capsys, "page-curve", *model_args, "--n", str(n), "--s",
+                       repr(s), "--exact", "--format", "json", *grid_args)
+    assert code == 0
+    return json.loads(out)
+
+
+def assert_cells_match_per_cut(doc, model, n, s):
+    """Every exact cell equals exact_average_entropy at its own cut, bit for bit."""
+    q2 = snap_charge(model, n, s)
+    filled = [row for row in doc["rows"] if row["exact"] != ""]
+    assert filled
+    for row in filled:
+        assert row["q_snapped"] == doc["meta"]["q_snapped"]
+        assert row["s_snapped"] == q2 / (2.0 * n)
+        assert row["exact"] == exact_average_entropy(model, n, row["n_a"], q2).value
+
+
+# odd N; more points than N, so f values share a cut; N even with the cut N/2;
+# an asymmetric fraction list that includes 1/2
+PAGE_GRIDS = ((33, ("--points", "19")), (7, ("--points", "30")),
+              (16, ("--f", "1/2,1/4,3/4")), (21, ("--f", "1/2,1/3,9/10,1/7")))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_page_curve_exact_cells_equal_per_cut_average(capsys, name):
+    model = catalog(name)
+    s = _density(model, 0.37)
+    for n, grid_args in PAGE_GRIDS:
+        doc = exact_curve(capsys, ("--model", name), n, s, grid_args)
+        assert_cells_match_per_cut(doc, model, n, s)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=random_small_models(), n=st.integers(2, 14),
+       grid=st.sampled_from(PAGE_GRIDS), u=st.floats(0.2, 0.8))
+def test_page_curve_exact_cells_equal_per_cut_average_custom_models(
+        capsys, model, n, grid, u):
+    lo, hi = density_interval(model)
+    assume(hi > lo and (model.group is GroupKind.U1 or hi > 0))
+    s = _density(model, u)
+    doc = exact_curve(capsys, ("--model-file", json.dumps(model.as_dict())), n, s,
+                      grid[1])
+    assert_cells_match_per_cut(doc, model, n, s)
+
+
+@pytest.mark.parametrize("n, grid_args", [(21, ("--points", "30")),
+                                          (16, ("--f", "1/4,1/4")),
+                                          (16, ("--f", "1/2,3/4"))])
+def test_page_curve_convolves_each_body_count_once(capsys, monkeypatch, n, grid_args):
+    calls = Counter()
+    original = sectors.weight_counts
+
+    def counting(model, bodies):
+        calls[bodies] += 1
+        return original(model, bodies)
+
+    monkeypatch.setattr(sectors, "weight_counts", counting)
+    doc = exact_curve(capsys, ("--model", "su2-qutrit"), n, 0.4, grid_args)
+    monkeypatch.undo()
+    assert_cells_match_per_cut(doc, catalog("su2-qutrit"), n, 0.4)
+    cuts = {row["n_a"] for row in doc["rows"]}
+    assert calls.pop(n) == 1  # W(N) once, for the snap and every table
+    assert calls == Counter(cuts | {n - n_a for n_a in cuts})
+    meta = doc["meta"]
+    assert meta["distinct_cuts"] == len(cuts)
+    assert meta["convolutions"] == sum(calls.values()) + 1
+    assert meta["q_snapped"] == doc["rows"][0]["q_snapped"]
+
+
+def test_page_curve_memory_holds_one_mirror_pair(capsys):
+    # one exact_average_entropy at N/2 holds W(N), W(N/2) and one table; a
+    # curve that kept all 99 tables alive peaked at 13x that
+    model = catalog("su2-trimer")
+    q2 = snap_charge(model, 480, 0.6)
+    tracemalloc.start()
+    try:
+        exact_average_entropy(model, 480, 240, q2)
+        single = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code, _ = invoke(capsys, "page-curve", "--model", "su2-trimer", "--n", "480",
+                         "--s", "0.6", "--points", "99", "--exact")
+        curve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert curve < 3 * single
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1",
+      "--points", "0", "--plot", "x.svg"), "--points"),
+    (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1",
+      "--points", "-3", "--exact"), "--points"),
+    (("page-curve", "--model", "u1-qubit", "--n", "-4", "--s", "0.1"), "--n"),
+    (("page-curve", "--model", "u1-qubit", "--n", "-4", "--s", "0.1",
+      "--exact"), "--n"),
+    (("thermo", "--model", "u1-qubit", "--grid", "-1"), "--grid"),
+    (("thermo", "--model", "u1-qubit", "--grid", "0"), "--grid"),
+])
+def test_invalid_grid_sizes_are_usage_errors(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be >= " in captured.err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_page_curve_exact_at_large_n(capsys):

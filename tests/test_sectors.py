@@ -5,13 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names
 from chargepage.sectors import (
-    EmptySectorError, block_table, realizable_charges, sector_dims,
-    weight_counts,
+    EmptySectorError, block_table, block_tables, realizable_charges,
+    sector_dims, weight_counts,
 )
 
 from conftest import (
     brute_force_u1_blocks, brute_force_u1_counts, convolution_weight_counts,
-    ladder_su2_dims, su2_weight_space_b, triangle_blocks,
+    ladder_su2_dims, random_small_models, su2_weight_space_b, triangle_blocks,
 )
 
 
@@ -147,19 +147,42 @@ def test_unrealizable_charge_raises():
         block_table(catalog("u1-qubit"), 4, 0, 0)  # trivial cut
 
 
-def random_small_models():
-    # U(1) charges on lattices of spacing 1, 2 or 3 in the doubled charge
-    u1 = st.tuples(st.dictionaries(st.integers(-4, 4), st.integers(1, 2),
-                                   min_size=2, max_size=3),
-                   st.integers(1, 3)).map(
-        lambda ms: ChargeModel(GroupKind.U1, {ms[1] * q2: a for q2, a in ms[0].items()})
-    )
-    su2 = st.dictionaries(st.integers(0, 4), st.integers(1, 2),
-                          min_size=1, max_size=2).filter(
-        lambda m: sum((j2 + 1) * a for j2, a in m.items()) >= 2
-    ).map(lambda m: ChargeModel(GroupKind.SU2, m))
-    return st.one_of(u1, su2)
 
+def test_block_tables_match_per_cut_block_table():
+    for name in catalog_names():
+        model = catalog(name)
+        for n in (2, 5, 9, 16):
+            full = sector_dims(model, n)
+            cuts = list(range(1, n))
+            for q2 in full.dims:
+                tables = list(block_tables(full, q2, cuts + cuts[::2]))
+                assert sorted(t.n_a for t in tables) == cuts  # each cut once
+                for table in tables:
+                    assert table == block_table(model, n, table.n_a, q2)
+
+
+def test_block_tables_share_each_mirror_pair(monkeypatch):
+    from chargepage import sectors
+
+    calls = []
+
+    def counting(model, n):
+        calls.append(n)
+        return weight_counts(model, n)
+
+    full = sector_dims(catalog("su2-trimer"), 12)
+    monkeypatch.setattr(sectors, "weight_counts", counting)
+    order = [t.n_a for t in block_tables(full, 6, [9, 3, 6, 1, 2, 10])]
+    assert order == [1, 2, 10, 3, 9, 6]  # ascending by the smaller cut of each pair
+    assert calls == [1, 11, 2, 10, 3, 9, 6]  # W(6) serves both sides of n_a = 6
+
+
+def test_block_tables_reject_bad_cuts_and_charges():
+    full = sector_dims(catalog("u1-qubit"), 4)
+    with pytest.raises(ValueError):
+        list(block_tables(full, 0, [1, 4]))
+    with pytest.raises(EmptySectorError):
+        list(block_tables(full, 1, [2]))
 
 @settings(max_examples=40, deadline=None)
 @given(model=random_small_models(), n=st.integers(2, 6),
