@@ -5,12 +5,14 @@ Every subcommand writes csv or json with the same numerical content, always
 prefixed by a self-describing metadata block (model echo, version, seed).
 
 Exit codes: 0 success, 1 a verification ran and failed (crosscheck,
-laplace-check), 2 usage or domain error, 3 internal invariant violation.
+laplace-check), 2 usage or domain error (including unreadable or unwritable
+paths), 3 internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -42,7 +44,11 @@ def _resolve_model(args) -> ChargeModel:
     if args.model:
         return catalog(args.model)
     if args.model_file:
-        return load_model(args.model_file)
+        try:
+            return load_model(args.model_file)
+        except OSError as exc:
+            raise ValueError(f"--model-file: cannot read {args.model_file!r}: "
+                             f"{exc.strerror}") from exc
     raise ValueError(f"a model is required: --model {{{','.join(catalog_names())}}} "
                      "or --model-file PATH")
 
@@ -77,6 +83,28 @@ def _require(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _write(flag: str, path: str, lines) -> None:
+    """Write ``lines`` to the file named by ``flag``; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ValueError(f"{flag}: cannot write {path!r}: {exc.strerror}") from exc
+
+
+def _parse_n_list(text: str) -> tuple[int, ...]:
+    """laplace-check's --n-list: at least two distinct sizes, each >= 1."""
+    try:
+        ns = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"--n-list must be a comma list of integers, got {text!r}") from None
+    _require("--n-list", min(ns), 1)
+    if len(set(ns)) < 2:
+        raise ValueError(f"--n-list needs at least two distinct values to fit a slope, "
+                         f"got {text!r}")
+    return ns
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -96,8 +124,7 @@ def _emit(rows: list[dict], meta: dict, args) -> None:
                 lines.append(",".join(_cell(row[k]) for k in keys))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write("--out", args.out, [text])
     else:
         sys.stdout.write(text)
 
@@ -222,8 +249,7 @@ def _plot_svg(rows, path, n):
         f'{y_hi:.3g}</text>',
         "</svg>",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(svg) + "\n")
+    _write("--plot", path, ["\n".join(svg) + "\n"])
 
 
 def cmd_page_curve(args) -> int:
@@ -237,9 +263,9 @@ def cmd_page_curve(args) -> int:
     rows, exact_meta = _page_rows(model, args.n, args.s, fractions, args.exact)
     meta = {"command": "page-curve", "model": model.as_dict(), "n": args.n,
             "s": args.s, **exact_meta}
-    _emit(rows, meta, args)
     if args.plot:
         _plot_svg(rows, args.plot, args.n)
+    _emit(rows, meta, args)
     return EXIT_OK
 
 
@@ -268,15 +294,14 @@ def cmd_mc(args) -> int:
         "mean": result.mean, "std_error": result.std_error,
         "sample_variance": result.sample_variance,
     }]
-    _emit(rows, meta, args)
     if args.dump:
         header = {"model": model.as_dict(), "n": args.n, "n_a": args.na,
                   "q": charge_str(q2), "samples": args.samples, "seed": args.seed}
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write("# chargepage mc raw samples, one entropy per line\n")
-            fh.write(f"# meta: {json.dumps(header)}\n")
-            for value in result.entropies:
-                fh.write(repr(float(value)) + "\n")
+        _write("--dump", args.dump, itertools.chain(
+            ["# chargepage mc raw samples, one entropy per line\n",
+             f"# meta: {json.dumps(header)}\n"],
+            (repr(float(value)) + "\n" for value in result.entropies)))
+    _emit(rows, meta, args)
     return EXIT_OK
 
 
@@ -321,8 +346,10 @@ def cmd_crosscheck(args) -> int:
             if z >= 4.0:
                 row["status"] = "fail"
         except SectorSizeError as exc:
-            row.update(mc_mean="", mc_std_error="", z="",
-                       status="skipped", reason=str(exc))
+            # a refused Monte Carlo leg does not hide a failed exact leg
+            row.update(mc_mean="", mc_std_error="", z="", reason=str(exc))
+            if row["status"] != "fail":
+                row["status"] = "skipped"
         if row["status"] == "fail":
             all_pass = False
         rows.append(row)
@@ -429,7 +456,7 @@ def run_laplace_suite(ns=(100, 1000, 10000)):
 
 
 def cmd_laplace_check(args) -> int:
-    ns = tuple(int(tok) for tok in args.n_list.split(","))
+    ns = _parse_n_list(args.n_list)
     rows = run_laplace_suite(ns)
     all_pass = True
     for row in rows:
@@ -531,6 +558,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"chargepage: internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a crash is not a failed verification (exit 1)
+        print(f"chargepage: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

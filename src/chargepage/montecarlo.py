@@ -12,13 +12,23 @@ one (m, M) shape share one batched eigensolve. No amplitude is drawn.
 
 Samples come in chunks of CHUNK. Chunk c draws all its variates, row by row,
 from a generator keyed by (seed, c) before any eigensolve. So the numbers do
-not depend on chunk order or batch size, and the first k samples of a run
-are those of a k-sample run.
+not depend on chunk order, batch size or worker count, and the first k
+samples of a run are those of a k-sample run.
+
+A run spreads over a thread pool of (usable CPUs) // (BLAS threads) workers,
+the BLAS count read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
+taken as every usable CPU. So the sampler stays serial while BLAS may use
+all cores, and OPENBLAS_NUM_THREADS=1 lets it use every core. Chunks go in
+waves of one per worker: the wave's draws run in parallel, then its rows are
+cut into at least one slice per worker for the eigensolves (numpy releases
+the GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool. The
+workers share the MAX_BATCH_BYTES budget.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,8 +39,14 @@ from .sectors import block_table
 
 #: samples per generator
 CHUNK = 512
-#: bytes one batch may allocate: the chunk's chi^2 draws plus its T matrices
+#: bytes in flight across all workers: each worker's share holds one chunk's
+#: chi^2 draws plus the T matrices of its slice of rows
 MAX_BATCH_BYTES = 32 * 2**20
+#: least samples * sum(count * m^3) run on a thread pool. A pool costs about
+#: 1.5-3 ms (thread start, slices of a few rows contending for the GIL); on a
+#: 2-vCPU x86-64 machine it paid off from about 5e5 at m <= 10 and 9e6 at
+#: m ~ 70, so runs below this floor lose at most a few ms and larger ones gain
+MIN_TASK_WORK = 2 * 10**6
 
 
 class SectorSizeError(ValueError):
@@ -74,12 +90,16 @@ def _tridiagonal(draws: np.ndarray, m: int) -> np.ndarray:
     return t
 
 
-def _chunk_entropies(groups, dof, seed: int, index: int, rows: int, batch: int):
-    """Entropies of the first ``rows`` samples of chunk ``index``."""
-    draws = np.random.default_rng((seed, index)).chisquare(dof, size=(rows, dof.size))
-    out = np.empty(rows)
-    for lo in range(0, rows, batch):
-        hi, weights, col = min(lo + batch, rows), [], 0
+def _draw(dof: np.ndarray, seed: int, index: int, rows: int) -> np.ndarray:
+    """The chi^2 variates of the first ``rows`` samples of chunk ``index``."""
+    return np.random.default_rng((seed, index)).chisquare(dof, size=(rows, dof.size))
+
+
+def _entropies(groups, draws: np.ndarray, batch: int) -> np.ndarray:
+    """Entropies of the sample rows ``draws``, ``batch`` rows per eigensolve."""
+    out = np.empty(len(draws))
+    for lo in range(0, len(draws), batch):
+        hi, weights, col = min(lo + batch, len(draws)), [], 0
         for (m, _), count in groups:
             block = draws[lo:hi, col:col + count * (2 * m - 1)].reshape(-1, 2 * m - 1)
             col += count * (2 * m - 1)
@@ -88,6 +108,38 @@ def _chunk_entropies(groups, dof, seed: int, index: int, rows: int, batch: int):
         p /= p.sum(axis=1, keepdims=True)
         out[lo:hi] = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
     return out
+
+
+def _slices(sizes: list[int], parts: int):
+    """(chunk position, lo, hi) row ranges: a wave of chunks of ``sizes`` rows cut
+    into ``parts`` near-equal slices, each split again at chunk edges."""
+    total, start = sum(sizes), 0
+    cuts = {total * i // parts for i in range(1, parts)}
+    for pos, size in enumerate(sizes):
+        edges = sorted({0, size, *(c - start for c in cuts if start < c < start + size)})
+        yield from ((pos, lo, hi) for lo, hi in zip(edges, edges[1:]))
+        start += size
+
+
+def _wave(pmap, groups, dof, seed: int, chunks, workers: int, batch: int):
+    """Entropies of ``chunks`` [(index, rows)]: all draws, then the eigensolves
+    in one slice per worker, each mapped by ``pmap``."""
+    draws = list(pmap(lambda chunk: _draw(dof, seed, *chunk), chunks))
+    return pmap(lambda piece: _entropies(groups, draws[piece[0]][piece[1]:piece[2]], batch),
+                _slices([rows for _, rows in chunks], workers))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int | None:
+    """BLAS threads per call from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS."""
+    text = (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+            or "").strip()
+    return int(text) if text.isdigit() and int(text) > 0 else None
 
 
 def run(config: McConfig) -> McRun:
@@ -99,21 +151,40 @@ def run(config: McConfig) -> McRun:
     row_bytes = 8 * sum(count * m * m for (m, _), count in groups)
     if max(big for (_, big), _ in groups) > 2**1000:
         raise SectorSizeError("a block dimension over 2^1000 overflows the chi^2 draws")
-    if draw_bytes + row_bytes > MAX_BATCH_BYTES:
+    fit = MAX_BATCH_BYTES // (draw_bytes + row_bytes)
+    if not fit:
         raise SectorSizeError(
             f"one sample row needs {draw_bytes + row_bytes} bytes ({draw_bytes} of chi^2 "
             f"draws for {chunk} rows, {row_bytes} of eigensolve matrices), over the "
             f"{MAX_BATCH_BYTES}-byte batch budget")
-    batch = min(chunk, (MAX_BATCH_BYTES - draw_bytes) // row_bytes)
+    cpus = _usable_cpus()
+    work = config.samples * sum(count * m**3 for (m, _), count in groups)
+    # unset, BLAS may take every core: no room for our threads
+    workers = max(1, min(cpus // (_blas_threads() or cpus), chunk, work // MIN_TASK_WORK,
+                         fit))
+    batch = min(chunk, (MAX_BATCH_BYTES // workers - draw_bytes) // row_bytes)
     dof = np.concatenate([
         np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
         for (m, big), count in groups])
-    entropies = np.concatenate([
-        _chunk_entropies(groups, dof, config.seed, start // CHUNK,
-                         min(CHUNK, config.samples - start), batch)
-        for start in range(0, config.samples, CHUNK)])
+    chunks = [(start // CHUNK, min(CHUNK, config.samples - start))
+              for start in range(0, config.samples, CHUNK)]
+
+    def sample(pmap):
+        return np.concatenate([
+            part for lo in range(0, len(chunks), workers)
+            for part in _wave(pmap, groups, dof, config.seed, chunks[lo:lo + workers],
+                              workers, batch)])
+
+    if workers == 1:
+        entropies = sample(map)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            entropies = sample(pool.map)
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
-            "max_min_dim": groups[-1][0][0], "batch_bytes": draw_bytes + batch * row_bytes}
+            "max_min_dim": groups[-1][0][0], "workers": workers,
+            "batch_bytes": workers * (draw_bytes + batch * row_bytes)}
     return McRun(config, entropies, float(np.mean(entropies)),
                  math.sqrt(var / config.samples), var, plan)

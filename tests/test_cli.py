@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from chargepage import sectors
-from chargepage.cli import EXIT_USAGE, EXIT_VERIFY, main, snap_charge
+from chargepage import cli, montecarlo, sectors
+from chargepage.cli import EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY, main, snap_charge
 from chargepage.exactavg import exact_average_entropy
 from chargepage.models import GroupKind, catalog, catalog_names
 from chargepage.thermo import density_interval
@@ -286,6 +286,21 @@ def test_mc_meta_reports_sampler_plan(capsys):
     assert meta["chunk"] >= 1
     # 20 rows of 2*(1+2+3)-3 = 9 draws plus 20 rows of 1+4+9 = 14 matrix entries
     assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * 20 * 14
+    assert meta["workers"] == 1  # far below the work floor
+
+
+def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(montecarlo, "MIN_TASK_WORK", 1)
+    code, out = invoke(capsys, "mc", "--model", "su2-qubit", "--n", "10", "--na", "4",
+                       "--q", "1", "--samples", "20", "--seed", "3", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["workers"] == 3
+    # each worker's share holds the chunk's draws and all 20 rows of matrices
+    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 8 * 20 * 14)
+    assert meta["batch_bytes"] <= montecarlo.MAX_BATCH_BYTES
 
 
 def test_mc_dump_file(tmp_path, capsys):
@@ -331,6 +346,60 @@ def test_failed_verification_exits_one(capsys):
     code, out = invoke(capsys, "laplace-check", "--n-list", "2,3,4")
     assert code == EXIT_VERIFY
     assert "fail" in {row["status"] for row in parse_csv(out)[1]}
+
+
+def test_refused_monte_carlo_leg_keeps_a_failed_crosscheck(capsys):
+    # the exact-vs-asymptotic leg fails; the Monte Carlo leg is refused
+    code, out = invoke(capsys, "crosscheck", "--model", "u1-qubit", "--n-list", "4000",
+                       "--f", "1/2", "--s", "0.1", "--samples", "10", "--tol", "1e-9")
+    assert code == EXIT_VERIFY
+    row = parse_csv(out)[1][0]
+    assert row["status"] == "fail"
+    assert float(row["scaled_diff"]) >= 1e-9
+    assert "2^1000" in row["reason"] and row["mc_mean"] == ""
+
+
+def test_unreadable_model_file_is_a_usage_error(tmp_path, capsys):
+    code = main(["dims", "--model-file", str(tmp_path / "missing.json"), "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: --model-file: cannot read" in captured.err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--out", ("dims", "--model", "u1-qubit", "--n", "4")),
+    ("--dump", ("mc", "--model", "u1-qubit", "--n", "6", "--na", "3", "--q", "0",
+                "--samples", "5")),
+    ("--plot", ("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1")),
+])
+def test_unwritable_path_is_a_usage_error(tmp_path, capsys, flag, argv):
+    code = main([*argv, flag, str(tmp_path / "missing" / "x.txt")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: {flag}: cannot write" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n_list, message", [
+    ("100", "--n-list needs at least two distinct values"),
+    ("100,100", "--n-list needs at least two distinct values"),
+    ("0", "--n-list must be >= 1, got 0"),
+    ("0,100", "--n-list must be >= 1, got 0"),
+    ("10,x", "--n-list must be a comma list of integers"),
+])
+def test_bad_laplace_n_list_is_a_usage_error(capsys, n_list, message):
+    assert main(["laplace-check", "--n-list", n_list]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def crash(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "sector_dims", crash)
+    assert main(["dims", "--model", "u1-qubit", "--n", "4"]) == EXIT_INTERNAL == 3
+    assert "internal error: ZeroDivisionError" in capsys.readouterr().err
 
 
 def test_invalid_tolerance_is_a_usage_error(capsys):

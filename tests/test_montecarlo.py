@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,16 +47,19 @@ def test_run_prefix_stable_and_chunk_order_free(monkeypatch):
     # in any order give the same entropies
     config = McConfig(catalog("su2-trimer"), 4, 2, 2, 2 * CHUNK + 37, 77)
     calls = []
-    chunk_entropies = montecarlo._chunk_entropies
-    monkeypatch.setattr(montecarlo, "_chunk_entropies",
-                        lambda *args: calls.append(args) or chunk_entropies(*args))
+    draw = montecarlo._draw
+    monkeypatch.setattr(montecarlo, "_draw",
+                        lambda *args: calls.append(args) or draw(*args))
     full = run(config).entropies
     chunks = list(calls)
     assert full.shape == (2 * CHUNK + 37,) and len(chunks) == 3
     for k in (1, 37, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
         assert np.array_equal(run(replace(config, samples=k)).entropies, full[:k])
-    last_first = [chunk_entropies(*args) for args in reversed(chunks)]
-    assert np.array_equal(np.concatenate(last_first[::-1]), full)
+    # chunks drawn last-first feed the same entropies
+    last_first = {args[2:]: draw(*args) for args in reversed(chunks)}
+    monkeypatch.setattr(montecarlo, "_draw",
+                        lambda dof, seed, index, rows: last_first[index, rows])
+    assert np.array_equal(run(config).entropies, full)
 
 
 def test_batch_size_does_not_change_numbers(monkeypatch):
@@ -155,7 +162,7 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
     # N = 22: sum d^2 = binom(22, 11) = 705432, one row of T matrices is 5.6 MB
     with monkeypatch.context() as patch, \
             pytest.raises(SectorSizeError, match=r"needs \d+ bytes"):
-        patch.setattr(montecarlo, "_chunk_entropies", no_draw)
+        patch.setattr(montecarlo, "_draw", no_draw)
         run(McConfig(model, 22, 11, 0, 10, 1))
     # N = 14: admitted with about 40 rows per batch
     config = McConfig(model, 14, 7, 0, 2 * CHUNK, 1)
@@ -170,6 +177,118 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
     # slack: 1/8 of the budget for what the bound leaves out, the per-row
     # Schmidt weight vectors and the entropy output (tracemalloc sees numpy's
     # array buffers, not LAPACK's small workspace)
+    assert peak <= budget + budget // 8
+
+
+def force_workers(monkeypatch, cpus):
+    """Report ``cpus`` usable CPUs and one BLAS thread, and lift the work floor."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(montecarlo, "MIN_TASK_WORK", 1)
+
+
+@pytest.mark.parametrize("config", [
+    McConfig(catalog("su2-trimer"), 4, 2, 2, 2 * CHUNK + 37, 77),  # three chunks
+    McConfig(catalog("u1-qubit"), 12, 6, 0, 300, 2**63 + 5),  # one chunk
+])
+def test_worker_count_does_not_change_numbers(monkeypatch, config):
+    force_workers(monkeypatch, 1)
+    serial = run(config)
+    assert serial.plan["workers"] == 1
+    for workers in (2, 3):
+        force_workers(monkeypatch, workers)
+        result = run(config)
+        assert result.plan["workers"] == workers
+        assert result.entropies.tobytes() == serial.entropies.tobytes()
+
+
+def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
+    # two chunks, and a budget that holds a few rows of T matrices per worker
+    config = McConfig(catalog("u1-qubit"), 10, 5, 0, CHUNK + 100, 31)
+    reference = run(config)
+    blocks = block_table(config.model, 10, 5, 0).blocks
+    draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
+    row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
+    budget = 3 * (draw_bytes + 4 * row_bytes)
+    monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
+    batches = []
+    entropies = montecarlo._entropies
+    monkeypatch.setattr(montecarlo, "_entropies",
+                        lambda groups, draws, batch: batches.append(batch)
+                        or entropies(groups, draws, batch))
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        batches.clear()
+        result = run(config)
+        batch = (budget // workers - draw_bytes) // row_bytes
+        assert result.plan["workers"] == workers
+        assert set(batches) == {batch} and batch < CHUNK // workers
+        assert result.plan["batch_bytes"] == workers * (draw_bytes + batch * row_bytes)
+        assert result.plan["batch_bytes"] <= budget
+        assert result.entropies.tobytes() == reference.entropies.tobytes()
+
+
+def test_blas_thread_count_read_from_environment(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert montecarlo._blas_threads() is None
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert montecarlo._blas_threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert montecarlo._blas_threads() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    assert montecarlo._blas_threads() is None
+
+
+def test_unpinned_blas_keeps_the_sampler_serial(monkeypatch):
+    # with no thread count set, BLAS may use every core, and threads of our
+    # own on top measured slower than one thread
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    config = McConfig(catalog("u1-qubit"), 12, 6, 0, 600, 8)
+    assert config.samples * 15184 >= 4 * montecarlo.MIN_TASK_WORK  # sum m^3 = 15184
+    assert run(config).plan["workers"] == 1
+
+
+def test_run_below_work_floor_uses_one_worker(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
+    # u1-qubit N = 12 at the half cut: sum of m^3 over the blocks is 15184
+    small = McConfig(catalog("u1-qubit"), 12, 6, 0, 50, 8)
+    assert small.samples * 15184 < montecarlo.MIN_TASK_WORK
+    assert run(small).plan["workers"] == 1
+    assert run(replace(small, samples=600)).plan["workers"] == 4
+
+
+def test_serial_path_imports_no_thread_pool():
+    code = ("import sys\n"
+            "from chargepage import cli, montecarlo\n"
+            "from chargepage.models import catalog\n"
+            "run = montecarlo.run(montecarlo.McConfig(catalog('u1-qubit'), 8, 4, 0, 50, 1))\n"
+            "assert run.plan['workers'] == 1\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_parallel_run_shares_the_batch_budget(monkeypatch):
+    # the tracemalloc bound of test_batch_budget_refuses_and_bounds_allocation
+    # with two workers: two chunks of draws and two slices' T matrices in flight
+    budget = 2 * 2**20
+    monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
+    force_workers(monkeypatch, 2)
+    config = McConfig(catalog("u1-qubit"), 14, 7, 0, 2 * CHUNK, 1)
+    run(replace(config, samples=2))  # first-use allocations of numpy's generator
+    tracemalloc.start()
+    try:
+        result = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.plan["workers"] == 2
+    assert result.plan["batch_bytes"] <= budget
     assert peak <= budget + budget // 8
 
 
