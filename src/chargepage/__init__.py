@@ -19,13 +19,12 @@ from .thermo import (
     gibbs, infinite_temperature_density, solve_beta_star, thermo_point,
 )
 from .asymptotics import (
-    EntropyEstimate, LaplaceProblem, Regime, SubsystemChargeDistribution,
-    VarianceAsymptotics, asymptotic_log_dim, average_entropy_asymptotic,
-    charge_density_moments, entropy_term_breakdown, laplace_discontinuous,
-    laplace_smooth, subsystem_charge_distribution, variance_asymptotic,
+    EntropyEstimate, Regime, SubsystemChargeDistribution, VarianceAsymptotics,
+    asymptotic_log_dim, average_entropy_asymptotic, charge_density_moments,
+    entropy_term_breakdown, subsystem_charge_distribution, variance_asymptotic,
 )
-from .exactavg import ExactAverage, block_average_entropy, digamma, \
-    exact_average_entropy
+from .laplace import LaplaceProblem, laplace_discontinuous, laplace_smooth
+from .exactavg import ExactAverage, block_average_entropy, exact_average_entropy
 from .montecarlo import McConfig, McRun, run
 
 __version__ = "0.1.0"
@@ -44,7 +43,7 @@ __all__ = [
     "charge_density_moments", "entropy_term_breakdown",
     "laplace_discontinuous", "laplace_smooth",
     "subsystem_charge_distribution", "variance_asymptotic",
-    "ExactAverage", "block_average_entropy", "digamma", "exact_average_entropy",
+    "ExactAverage", "block_average_entropy", "exact_average_entropy",
     "McConfig", "McRun", "run",
     "__version__",
 ]

@@ -19,10 +19,6 @@ from fractions import Fraction
 from .models import ChargeModel, GroupKind, SystemGeometry, weight_multiplicities
 from .sectors import block_table
 from .thermo import ThermoPoint, thermo_point
-from .laplace import (  # re-exported: part of this module's public surface
-    LaplaceProblem, laplace_smooth, laplace_discontinuous,
-    NotAMaximumError, DegeneratePrefactorError,
-)
 
 __all__ = [
     "Regime", "EntropyEstimate", "AsymptoticTerms", "VarianceAsymptotics",
@@ -31,8 +27,7 @@ __all__ = [
     "asymptotic_log_dim", "charge_density_moments", "checked_thermo_point",
     "average_entropy_asymptotic", "estimate_at_point", "variance_asymptotic",
     "entropy_term_breakdown", "breakdown_at_point", "subsystem_charge_distribution",
-    "LaplaceProblem", "laplace_smooth", "laplace_discontinuous",
-    "NotAMaximumError", "DegeneratePrefactorError", "DELTA_TOLERANCE",
+    "DELTA_TOLERANCE",
 ]
 
 #: |beta*(s)| below this counts as sitting at the infinite-temperature

@@ -3,6 +3,8 @@
 Subcommands: dims, thermo, page-curve, exact, mc, crosscheck, laplace-check.
 Every subcommand writes csv or json with the same numerical content, always
 prefixed by a self-describing metadata block (model echo, version, seed).
+The numerical work lives in the library: a density is snapped to a charge
+by ``SectorTable.snap``, and laplace-check runs ``laplace.run_laplace_suite``.
 
 Exit codes: 0 success, 1 a verification ran and failed (crosscheck,
 laplace-check), 2 usage or domain error (including unreadable or unwritable
@@ -15,18 +17,19 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .models import ChargeModel, GroupKind, catalog, catalog_names, \
     charge_str, load_model
-from .sectors import SectorTable, block_table, block_tables, sector_dims
+from .sectors import block_table, block_tables, sector_dims
 from .thermo import catalog_closed_forms, density_interval, thermo_point
 from .asymptotics import average_entropy_asymptotic, checked_thermo_point, \
     estimate_at_point
 from .exactavg import block_average_entropy, exact_average_entropy
-from .laplace import LaplaceProblem, laplace_discontinuous, laplace_smooth
+from .laplace import run_laplace_suite
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
 EXIT_OK = 0
@@ -68,16 +71,6 @@ def _parse_fraction(text: str) -> Fraction:
     return f
 
 
-def snap_charge(model: ChargeModel, n: int, s: float) -> int:
-    """Nearest realizable doubled total charge to density s for n bodies."""
-    return _snap(sector_dims(model, n), s)
-
-
-def _snap(full: SectorTable, s: float) -> int:
-    target = 2.0 * s * full.n
-    return min(full.dims, key=lambda q2: (abs(q2 - target), q2))
-
-
 def _require(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
@@ -93,15 +86,12 @@ def _write(flag: str, path: str, lines) -> None:
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
-    """laplace-check's --n-list: at least two distinct sizes, each >= 1."""
+    """--n-list: a comma list of system sizes, each >= 1."""
     try:
         ns = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"--n-list must be a comma list of integers, got {text!r}") from None
     _require("--n-list", min(ns), 1)
-    if len(set(ns)) < 2:
-        raise ValueError(f"--n-list needs at least two distinct values to fit a slope, "
-                         f"got {text!r}")
     return ns
 
 
@@ -190,7 +180,7 @@ def _page_rows(model, n, s, fractions, want_exact):
         q2 = None  # n < 2 has no cut to snap for
         if inner:
             full = sector_dims(model, n)
-            q2 = _snap(full, s)
+            q2 = full.snap(s)
             exact = {table.n_a: block_average_entropy(table).value
                      for table in block_tables(full, q2, inner)}
         bodies = inner | {n - n_a for n_a in inner}
@@ -308,7 +298,7 @@ def cmd_mc(args) -> int:
 def cmd_crosscheck(args) -> int:
     model = _resolve_model(args)
     f = _parse_fraction(args.f)
-    n_list = [int(tok) for tok in args.n_list.split(",")]
+    n_list = _parse_n_list(args.n_list)
     rows = []
     all_pass = True
     for n in n_list:
@@ -319,7 +309,8 @@ def cmd_crosscheck(args) -> int:
             rows.append(row)
             continue
         n_a = int(n_a)
-        q2 = snap_charge(model, n, args.s)
+        full = sector_dims(model, n)
+        q2 = full.snap(args.s)
         s_snap = q2 / (2.0 * n)
         row.update(q=charge_str(q2), s_snapped=s_snap)
         try:
@@ -328,7 +319,8 @@ def cmd_crosscheck(args) -> int:
             row.update(status="skipped", reason=str(exc))
             rows.append(row)
             continue
-        res = exact_average_entropy(model, n, n_a, q2)
+        (table,) = block_tables(full, q2, [n_a])
+        res = block_average_entropy(table)
         total = est.total(n)
         scale = math.sqrt(n) if est.regime.value == "f_half" else float(n)
         scaled = abs(res.value - total) * scale
@@ -363,100 +355,11 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-# ---------------------------------------------------------------------------
-# Laplace self-check suite: analytic problems with known derivative data,
-# compared against adaptive quadrature.
-
-def _cubic_g(t):
-    return -t * t / 2 + t**3 / 6
-
-
-def _cosh_g(t):
-    return 1.0 - math.cosh(t)
-
-
-def _skew_g(t):
-    return 1.0 - math.cosh(t) + t**3 / 10
-
-
-SMOOTH_SUITE = [
-    # (name, g(t), h(t), problem)
-    ("gauss-exp", lambda t: -t * t / 2, math.exp,
-     LaplaceProblem(0.0, (-8.0, 8.0), (0, 0, -1, 0, 0), (1, 1, 1), (1, 1, 1))),
-    ("cubic-tilt", _cubic_g, lambda t: 1.0,
-     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, 0, 0), (1, 0, 0))),
-    ("cosh-well", _cosh_g, lambda t: 1.0,
-     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (1, 0, 0), (1, 0, 0))),
-    ("cosh-quad-prefactor", _cosh_g, lambda t: 1 + t + t * t,
-     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (1, 1, 2), (1, 1, 2))),
-    ("cubic-sin-prefactor", _cubic_g, lambda t: 2 + math.sin(t),
-     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (2, 1, 0), (2, 1, 0))),
-]
-
-DISCONTINUOUS_SUITE = [
-    # (name, g(t), h_minus(t), h_plus(t), problem)
-    ("jump-cubic", _cubic_g, lambda t: 1.0, lambda t: 2.0,
-     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, 0, 0), (2, 0, 0))),
-    ("kink-cosh", _cosh_g, lambda t: 1 - t, lambda t: 1 + t,
-     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (1, -1, 0), (1, 1, 0))),
-    ("jump-slope-cosh", _cosh_g, lambda t: 2 + t, lambda t: 1 - t,
-     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (2, 1, 0), (1, -1, 0))),
-    ("exp-jump-cubic", _cubic_g, lambda t: math.exp(-t),
-     lambda t: 2 * math.exp(t),
-     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, -1, 1), (2, 2, 2))),
-    ("mixed-skew", _skew_g, lambda t: 1 + t * t, lambda t: 2 - t,
-     LaplaceProblem(0.0, (-2.0, 2.0), (0, 0, -1, 0.6, -1), (1, 0, 2), (2, -1, 0))),
-]
-
-
-def _quad_reference(g, h_minus, h_plus, problem, n):
-    from scipy.integrate import quad
-
-    t1, t2 = problem.interval
-    t0 = problem.t0
-    lo, _ = quad(lambda t: h_minus(t) * math.exp(n * g(t)), t1, t0,
-                 epsabs=0.0, epsrel=1e-13, limit=300)
-    hi, _ = quad(lambda t: h_plus(t) * math.exp(n * g(t)), t0, t2,
-                 epsabs=0.0, epsrel=1e-13, limit=300)
-    return lo + hi
-
-
-def _fit_slope(ns, errors):
-    logs_n = [math.log(n) for n in ns]
-    logs_e = [math.log(e) for e in errors]
-    mean_n = sum(logs_n) / len(logs_n)
-    mean_e = sum(logs_e) / len(logs_e)
-    num = sum((x - mean_n) * (y - mean_e) for x, y in zip(logs_n, logs_e))
-    den = sum((x - mean_n) ** 2 for x in logs_n)
-    return num / den
-
-
-def run_laplace_suite(ns=(100, 1000, 10000)):
-    """Error-scaling rows for the analytic suite vs adaptive quadrature."""
-    rows = []
-    for name, g, h, problem in SMOOTH_SUITE:
-        errs = []
-        for n in ns:
-            ref = _quad_reference(g, h, h, problem, n)
-            got = laplace_smooth(problem, n)["value"]
-            errs.append(abs(got / ref - 1.0))
-        slope = _fit_slope(ns, errs)
-        rows.append({"case": name, "kind": "smooth", "slope": slope,
-                     "target": -2.0, "max_rel_error": max(errs)})
-    for name, g, hm, hp, problem in DISCONTINUOUS_SUITE:
-        errs = []
-        for n in ns:
-            ref = _quad_reference(g, hm, hp, problem, n)
-            got = laplace_discontinuous(problem, n)["value"]
-            errs.append(abs(got / ref - 1.0))
-        slope = _fit_slope(ns, errs)
-        rows.append({"case": name, "kind": "discontinuous", "slope": slope,
-                     "target": -1.5, "max_rel_error": max(errs)})
-    return rows
-
-
 def cmd_laplace_check(args) -> int:
     ns = _parse_n_list(args.n_list)
+    if len(set(ns)) < 2:
+        raise ValueError(f"--n-list needs at least two distinct values to fit a slope, "
+                         f"got {args.n_list!r}")
     rows = run_laplace_suite(ns)
     all_pass = True
     for row in rows:
@@ -477,8 +380,16 @@ def _add_common(sub):
     sub.add_argument("--out", help="output path (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "--q -3/2" and "--s -1e-3" as values; argparse knows only -N and -N.N."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chargepage",
         description="Typical entanglement entropy of fixed-charge sectors: "
                     "exact, asymptotic, and Monte Carlo routes.")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .models import ChargeModel, SystemGeometry
 from .sectors import BlockTable, EmptySectorError, block_table, sector_dims
@@ -35,32 +34,19 @@ def _digamma_tail(x: float) -> float:
     return math.log(x) - 0.5 / x - acc
 
 
-def digamma(x: float) -> float:
-    """Digamma function for x > 0.
-
-    Upward recurrence pushes the argument to >= 10, where the asymptotic
-    series is accurate to full double precision. Below x = 1 the recurrence
-    subtraction 1/x dominates the result, so it is assembled in exact
-    rational arithmetic and rounded once.
-    """
-    if not x > 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    if x < 1.0:
-        return float(Fraction(digamma(x + 1.0)) - Fraction(1) / Fraction(x))
-    if x >= 10.0:
-        return _digamma_tail(x)
-    m = math.ceil(10.0 - x)
-    terms = [_digamma_tail(x + m)]
-    terms.extend(-1.0 / (x + k) for k in range(m))
-    return math.fsum(terms)
-
-
 def digamma_of_big_plus_one(d: int) -> float:
-    """psi(d + 1) for a positive integer of any size."""
+    """psi(d + 1) for a positive integer of any size.
+
+    From d + 1 = 10 on, the asymptotic series is accurate to full double
+    precision; below that, psi(d + 1) = psi(10) - sum_{k=d+1}^{9} 1/k,
+    accumulated with fsum.
+    """
     if d < 1:
         raise ValueError(f"expected a positive integer, got {d}")
+    if d < 9:
+        return math.fsum([_digamma_tail(10.0), *(-1.0 / k for k in range(d + 1, 10))])
     if d <= 10**12:
-        return digamma(float(d + 1))
+        return _digamma_tail(float(d + 1))
     # psi(d+1) = log d + 1/(2d) - 1/(12 d^2) + ...; beyond 1e12 only the
     # first correction is representable
     corr = 0.5 / float(d) if d.bit_length() < 1000 else 0.0

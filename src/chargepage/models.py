@@ -7,6 +7,7 @@ magnetic numbers stay exact. All public text I/O prints physical values.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,6 +20,15 @@ class ModelValidationError(ValueError):
 
 class UnknownModelError(ValueError):
     pass
+
+
+def _integer(value, what: str) -> int:
+    """An integer, integral float or decimal string as an int; never truncates."""
+    if isinstance(value, str) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ModelValidationError(f"{what} = {value!r} must be an integer")
 
 
 class GroupKind(Enum):
@@ -39,15 +49,16 @@ class ChargeModel:
     name: str | None = None
 
     def __init__(self, group, multiplicities, name=None):
-        if isinstance(group, str):
+        if not isinstance(group, GroupKind):
             try:
                 group = GroupKind[group]
-            except KeyError:
-                raise ModelValidationError(f"unknown group {group!r}; expected U1 or SU2")
+            except (KeyError, TypeError):
+                raise ModelValidationError(
+                    f"unknown group {group!r}; expected U1 or SU2") from None
         if isinstance(multiplicities, Mapping):
-            items = tuple(sorted((int(q), int(a)) for q, a in multiplicities.items()))
-        else:
-            items = tuple(sorted((int(q), int(a)) for q, a in multiplicities))
+            multiplicities = multiplicities.items()
+        items = tuple(sorted((_integer(q, "charge key"), _integer(a, f"multiplicity a[{q}]"))
+                             for q, a in multiplicities))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "multiplicities", items)
         object.__setattr__(self, "name", name)
@@ -169,10 +180,12 @@ def load_model(source) -> ChargeModel:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("multiplicities", {}), Mapping):
+        raise ModelValidationError("model config must be a JSON object whose 'multiplicities' "
+                                   "maps charges to multiplicities")
     if "group" not in doc or "multiplicities" not in doc:
         raise ModelValidationError("model config needs 'group' and 'multiplicities' fields")
-    mult = {int(k): int(v) for k, v in doc["multiplicities"].items()}
-    return ChargeModel(doc["group"], mult, name=doc.get("name"))
+    return ChargeModel(doc["group"], doc["multiplicities"], name=doc.get("name"))
 
 
 def charge_str(q2: int) -> str:

@@ -38,6 +38,11 @@ class SectorTable:
     n: int
     dims: dict[int, int]
 
+    def snap(self, s: float) -> int:
+        """Realizable doubled charge nearest to density s; a tie goes to the lower one."""
+        target = 2.0 * s * self.n
+        return min(self.dims, key=lambda q2: (abs(q2 - target), q2))
+
     def total_dimension(self) -> int:
         """Recombine sectors: equals k^n exactly."""
         if self.model.group is GroupKind.U1:

@@ -89,6 +89,19 @@ def infinite_temperature_density(model: ChargeModel) -> float:
     return sum(0.5 * m2 * a for m2, a in weights.items()) / k
 
 
+def _check_density(model: ChargeModel, s: float) -> None:
+    """Reject a density with no finite beta* (every one if all weights coincide)."""
+    lo, hi = density_interval(model)
+    if lo == hi:
+        raise DegenerateModelError(
+            "weight support is a single point; mean charge cannot be tuned"
+        )
+    if not (lo + BOUNDARY_EPS <= s <= hi - BOUNDARY_EPS):
+        raise DensityDomainError(
+            f"s = {s} outside open density interval ({lo}, {hi}); beta* diverges"
+        )
+
+
 def solve_beta_star(model: ChargeModel, s: float) -> float:
     """Inverse temperature with mean local charge s.
 
@@ -96,15 +109,7 @@ def solve_beta_star(model: ChargeModel, s: float) -> float:
     expanded from [-1, 1] by doubling. Robust arbitrarily close to the
     boundary, where Newton iterations would overshoot.
     """
-    lo_w, hi_w = density_interval(model)
-    if hi_w - lo_w == 0:
-        raise DegenerateModelError(
-            "weight support is a single point; mean charge cannot be tuned"
-        )
-    if not (lo_w + BOUNDARY_EPS <= s <= hi_w - BOUNDARY_EPS):
-        raise DensityDomainError(
-            f"s = {s} outside open density interval ({lo_w}, {hi_w}); beta* diverges"
-        )
+    _check_density(model, s)
 
     def mean_at(beta: float) -> float:
         return gibbs(model, beta).mean()
@@ -205,11 +210,7 @@ def _trimer_forms(s: float) -> tuple[float, float, float, float]:
 def catalog_closed_forms(name: str, s: float) -> ThermoPoint:
     """Closed-form ThermoPoint for a builtin model at density s."""
     model = catalog(name)  # raises UnknownModelError for bad names
-    lo, hi = density_interval(model)
-    if not (lo + BOUNDARY_EPS <= s <= hi - BOUNDARY_EPS):
-        raise DensityDomainError(
-            f"s = {s} outside open density interval ({lo}, {hi}); beta* diverges"
-        )
+    _check_density(model, s)
     if name in ("u1-qubit", "su2-qubit"):
         eta, beta, c, eta_pp = _qubit_forms(s)
     elif name in ("u1-qutrit", "su2-qutrit"):

@@ -18,7 +18,7 @@ from chargepage.asymptotics import (
 )
 from chargepage.exactavg import exact_average_entropy
 from chargepage.montecarlo import McConfig, run
-from chargepage.cli import run_laplace_suite, snap_charge
+from chargepage.laplace import run_laplace_suite
 
 from conftest import brute_force_u1_counts, ladder_su2_dims
 
@@ -222,10 +222,10 @@ def test_criterion_10_delta_term_and_infinite_temperature():
     # exact-formula differences between the snapped sectors at N = 24 have
     # the sign the leading term predicts: eta peaks at s_ast
     n = 24
-    q_ast = snap_charge(model, n, s_ast)
+    q_ast = sector_dims(model, n).snap(s_ast)
     exact_ast = exact_average_entropy(model, n, n // 2, q_ast).value
     for s in (s_ast - 0.05, s_ast + 0.05):
-        q2 = snap_charge(model, n, s)
+        q2 = sector_dims(model, n).snap(s)
         assert q2 != q_ast
         exact_off = exact_average_entropy(model, n, n // 2, q2).value
         leading_gap = (thermo_point(model, s_ast).eta

@@ -13,7 +13,6 @@ from chargepage.asymptotics import (
     charge_density_moments, entropy_term_breakdown,
     subsystem_charge_distribution, variance_asymptotic,
 )
-from chargepage.cli import snap_charge
 
 
 def test_asymptotic_log_dim_qubit_at_zero():
@@ -100,7 +99,7 @@ def test_exact_distribution_moments_approach_coefficients():
 def test_su2_finite_size_mean_shift_has_predicted_sign_and_size():
     model = catalog("su2-qutrit")
     n = 192
-    q2 = snap_charge(model, n, 0.4)
+    q2 = sector_dims(model, n).snap(0.4)
     s = q2 / (2 * n)
     dist = subsystem_charge_distribution(model, SystemGeometry(n, n // 3), q2)
     shift = charge_density_moments(model, Fraction(1, 3), s)["mean_shift"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from chargepage import cli, montecarlo, sectors
-from chargepage.cli import EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY, main, snap_charge
+from chargepage.cli import EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY, main
 from chargepage.exactavg import exact_average_entropy
 from chargepage.models import GroupKind, catalog, catalog_names
 from chargepage.thermo import density_interval
@@ -114,7 +114,7 @@ def exact_curve(capsys, model_args, n, s, grid_args):
 
 def assert_cells_match_per_cut(doc, model, n, s):
     """Every exact cell equals exact_average_entropy at its own cut, bit for bit."""
-    q2 = snap_charge(model, n, s)
+    q2 = sectors.sector_dims(model, n).snap(s)
     filled = [row for row in doc["rows"] if row["exact"] != ""]
     assert filled
     for row in filled:
@@ -180,7 +180,7 @@ def test_page_curve_memory_holds_one_mirror_pair(capsys):
     # one exact_average_entropy at N/2 holds W(N), W(N/2) and one table; a
     # curve that kept all 99 tables alive peaked at 13x that
     model = catalog("su2-trimer")
-    q2 = snap_charge(model, 480, 0.6)
+    q2 = sectors.sector_dims(model, 480).snap(0.6)
     tracemalloc.start()
     try:
         exact_average_entropy(model, 480, 240, q2)
@@ -263,6 +263,16 @@ def test_exact_subcommand_half_integer_charge(capsys):
     _, rows = parse_csv(out)
     assert rows[0]["q"] == "3/2"
     assert float(rows[0]["value"]) > 0
+
+
+def test_negative_values_parse_in_every_number_form(capsys):
+    code, out = invoke(capsys, "exact", "--model", "u1-qubit", "--n", "5",
+                       "--na", "2", "--q", "-3/2")
+    assert code == 0 and parse_csv(out)[1][0]["q"] == "-3/2"
+    # a density as repr() prints it near zero
+    code, out = invoke(capsys, "thermo", "--model", "u1-qubit",
+                       "--s", "-2.220446049250313e-16")
+    assert code == 0 and float(parse_csv(out)[1][0]["s"]) == -2.220446049250313e-16
 
 
 def test_mc_output_deterministic(capsys):
@@ -359,6 +369,22 @@ def test_refused_monte_carlo_leg_keeps_a_failed_crosscheck(capsys):
     assert "2^1000" in row["reason"] and row["mc_mean"] == ""
 
 
+@pytest.mark.parametrize("text", [
+    '{"group": "U1", "multiplicities": {"0": 1.5, "2": 1}}',
+    '{"group": "U1", "multiplicities": {"0": true, "2": 1}}',
+    '{"group": "U1", "multiplicities": [[0, 1], [2, 1]]}',
+    "5",
+    '{"group": 5, "multiplicities": {"0": 1, "2": 1}}',
+])
+def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["dims", "--model-file", str(path), "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("chargepage: error: ") and captured.out == ""
+
+
 def test_unreadable_model_file_is_a_usage_error(tmp_path, capsys):
     code = main(["dims", "--model-file", str(tmp_path / "missing.json"), "--n", "4"])
     captured = capsys.readouterr()
@@ -380,15 +406,25 @@ def test_unwritable_path_is_a_usage_error(tmp_path, capsys, flag, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("n_list, message", [
-    ("100", "--n-list needs at least two distinct values"),
-    ("100,100", "--n-list needs at least two distinct values"),
-    ("0", "--n-list must be >= 1, got 0"),
-    ("0,100", "--n-list must be >= 1, got 0"),
-    ("10,x", "--n-list must be a comma list of integers"),
-])
-def test_bad_laplace_n_list_is_a_usage_error(capsys, n_list, message):
-    assert main(["laplace-check", "--n-list", n_list]) == EXIT_USAGE
+LAPLACE = ("laplace-check",)
+CROSSCHECK = ("crosscheck", "--model", "u1-qubit", "--f", "1/2", "--s", "0.1")
+N_LIST_CASES = [
+    (LAPLACE, "100", "--n-list needs at least two distinct values"),
+    (LAPLACE, "100,100", "--n-list needs at least two distinct values"),
+    (LAPLACE, "0", "--n-list must be >= 1, got 0"),
+    (LAPLACE, "0,100", "--n-list must be >= 1, got 0"),
+    (LAPLACE, "10,x", "--n-list must be a comma list of integers"),
+    (CROSSCHECK, "8,x", "--n-list must be a comma list of integers, got '8,x'"),
+    (CROSSCHECK, "0", "--n-list must be >= 1, got 0"),
+]
+
+
+# a laplace-check case is named by its n_list and message alone
+@pytest.mark.parametrize("command, n_list, message", N_LIST_CASES, ids=[
+    f"{n_list}-{message}" if command is LAPLACE else f"{command[0]}-{n_list}-{message}"
+    for command, n_list, message in N_LIST_CASES])
+def test_bad_laplace_n_list_is_a_usage_error(capsys, command, n_list, message):
+    assert main([*command, "--n-list", n_list]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
 
@@ -442,11 +478,11 @@ def test_usage_errors_exit_two(capsys):
 
 def test_snap_charge_lattice():
     model = catalog("su2-qutrit")
-    assert snap_charge(model, 96, 0.4) in (76, 78)
-    assert snap_charge(model, 96, 0.4) % 2 == 0  # stays on the even lattice
+    assert sectors.sector_dims(model, 96).snap(0.4) in (76, 78)
+    assert sectors.sector_dims(model, 96).snap(0.4) % 2 == 0  # stays on the even lattice
     qubit = catalog("u1-qubit")
-    assert snap_charge(qubit, 8, 0.1) == 2  # m = 1
-    assert snap_charge(qubit, 7, 0.0) in (-1, 1)
+    assert sectors.sector_dims(qubit, 8).snap(0.1) == 2  # m = 1
+    assert sectors.sector_dims(qubit, 7).snap(0.0) == -1  # a tie goes to the lower charge
 
 
 def test_laplace_check_quick(capsys):

@@ -116,6 +116,45 @@ def test_load_model_requires_fields():
         load_model({"group": "U1"})
 
 
+@pytest.mark.parametrize("mult", [
+    {"0": 1.5, "2": 1},
+    {"0": True, "2": 1},
+    {"0": 1, "2": None},
+    {"0": 1, "2": [2]},
+])
+def test_non_integral_and_boolean_multiplicities_are_rejected(mult):
+    with pytest.raises(ModelValidationError, match="must be an integer"):
+        load_model({"group": "U1", "multiplicities": mult})
+
+
+def test_charge_keys_are_not_truncated():
+    with pytest.raises(ModelValidationError, match="charge key"):
+        ChargeModel(GroupKind.U1, {0.5: 1, 2: 1})
+    with pytest.raises(ModelValidationError, match="charge key"):
+        ChargeModel(GroupKind.U1, {False: 1, 2: 1})
+
+
+def test_integral_numbers_and_strings_still_load():
+    model = load_model({"group": "U1", "multiplicities": {"0": 1.0, "2": "2"}})
+    assert model == ChargeModel(GroupKind.U1, {0: 1, 2: 2})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"group": "U1", "multiplicities": [[0, 1], [2, 1]]}', "must be a JSON object"),
+    ("5", "must be a JSON object"),
+    ("[1, 2]", "must be a JSON object"),
+    ('{"group": 5, "multiplicities": {"0": 1, "2": 1}}', "unknown group 5"),
+    ('{"group": ["U1"], "multiplicities": {"0": 1, "2": 1}}', "unknown group"),
+    ('{"group": "U1", "multiplicities": {"0": 1, "00": 2, "2": 1}}', "duplicate charge key 0"),
+])
+def test_malformed_model_files_are_rejected(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelValidationError) as err:
+        load_model(str(path))
+    assert message in str(err.value)
+
+
 def test_geometry_fraction_is_exact():
     geo = SystemGeometry(12, 6)
     assert geo.f == Fraction(1, 2)

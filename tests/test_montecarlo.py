@@ -262,12 +262,23 @@ def test_run_below_work_floor_uses_one_worker(monkeypatch):
 
 
 def test_serial_path_imports_no_thread_pool():
-    code = ("import sys\n"
+    # nor scipy, which only laplace-check needs: importing it costs more
+    # than the rest of startup
+    code = ("import contextlib, io, sys\n"
             "from chargepage import cli, montecarlo\n"
             "from chargepage.models import catalog\n"
             "run = montecarlo.run(montecarlo.McConfig(catalog('u1-qubit'), 8, 4, 0, 50, 1))\n"
             "assert run.plan['workers'] == 1\n"
-            "assert 'concurrent.futures' not in sys.modules\n")
+            "model = ['--model', 'su2-trimer']\n"
+            "for argv in (['dims', *model, '--n', '6'],\n"
+            "             ['exact', *model, '--n', '8', '--na', '3', '--q', '1'],\n"
+            "             ['page-curve', *model, '--n', '12', '--s', '0.3', '--exact'],\n"
+            "             ['mc', '--model', 'u1-qubit', '--n', '8', '--na', '4',\n"
+            "              '--q', '0', '--samples', '50']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n")
     src = str(Path(montecarlo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
