@@ -5,6 +5,10 @@ moments, the average entanglement entropy in the three subsystem-fraction
 regimes (with the group prefactor alpha0 sourcing the U(1)/SU(2)
 difference), and the exponentially suppressed variance.
 
+The entropy is y1 + y2 + y3 with y1 = log D_q, so y1 is the log-dimension
+expansion; it carries log(step), step being the charge-lattice spacing, and
+y2 carries -log(step).
+
 All exponentially large quantities are handled in log domain; estimates
 store coefficients of N, sqrt(N), and N^0, never an evaluated exp(N eta).
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .models import ChargeModel, GroupKind, SystemGeometry, weight_multiplicities
+from .models import ChargeModel, GroupKind, SystemGeometry, lattice_step
 from .sectors import block_table
 from .thermo import ThermoPoint, thermo_point
 
@@ -107,41 +111,59 @@ def _as_fraction(f) -> Fraction:
     return frac
 
 
+def _regime(frac: Fraction) -> Regime:
+    """Which side of the half cut f lies on, compared exactly."""
+    if frac == Fraction(1, 2):
+        return Regime.F_HALF
+    return Regime.F_BELOW_HALF if frac < Fraction(1, 2) else Regime.F_ABOVE_HALF
+
+
+def _at_infinite_temperature(tp: ThermoPoint) -> bool:
+    """beta* = 0 to within DELTA_TOLERANCE, i.e. s is the density s_ast."""
+    return abs(tp.beta_star) < DELTA_TOLERANCE
+
+
 def checked_thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
     """``thermo_point``, refusing the SU(2) extremal density s <= 0 first."""
     if model.group is GroupKind.SU2 and s <= 0:
-        raise ExtremalChargeError(
-            "SU2 asymptotics need charge density s > 0; s = 0 is the extremal "
-            "case where alpha0 vanishes"
-        )
+        raise ExtremalChargeError("SU2 asymptotics need charge density s > 0; s = 0 is "
+                                  "the extremal case where alpha0 vanishes")
     return thermo_point(model, s)
 
 
-def _alpha_slope_ratio(tp: ThermoPoint, group: GroupKind) -> float:
-    """(alpha0' eta') / (alpha0 eta''), which vanishes for U(1)."""
+def _dlog_alpha0(tp: ThermoPoint, group: GroupKind, dbeta: float) -> float:
+    """d log(alpha0) for a change dbeta of beta*: alpha0 = 1 - exp(beta*), 1 for U(1).
+
+    As d beta*/ds = eta'', dbeta = beta* gives the slope ratio
+    (alpha0' eta')/(alpha0 eta'') and dbeta = eta'' ds gives (alpha0'/alpha0) ds.
+    """
     if group is GroupKind.U1:
         return 0.0
-    # alpha0 = 1 - exp(beta*) gives alpha0' = -exp(beta*) eta''
     eb = math.exp(tp.beta_star)
-    return -tp.beta_star * eb / (1.0 - eb)
+    return -dbeta * eb / (1.0 - eb)
+
+
+def _sector_log_density(model: ChargeModel, tp: ThermoPoint) -> float:
+    """log(step sqrt(-eta''/2 pi)), step = lattice_step/2: one sector's Gaussian density."""
+    return 0.5 * math.log(-tp.eta_pp / (2 * math.pi)) + math.log(lattice_step(model) / 2)
+
+
+def _log_dim_terms(model: ChargeModel, tp: ThermoPoint) -> AsymptoticTerms:
+    """y1 = log D_q ~ N eta - (1/2) log N + log(alpha0) + the sector log-density."""
+    return AsymptoticTerms(tp.eta, 0.0, -0.5,
+                           math.log(tp.alpha0) + _sector_log_density(model, tp))
 
 
 def asymptotic_log_dim(model: ChargeModel, s: float, n: int) -> float:
     """log of the asymptotic sector dimension at charge q = n*s.
 
     Leading and subleading parts only; the relative error of the dimension
-    itself is O(1/n). Realizable charges sit on a lattice of spacing
-    ``step`` (half the gcd of the doubled-weight differences), so each
-    sector holds ``step`` times the Gaussian density.
+    itself is O(1/n).
     """
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
-    tp = checked_thermo_point(model, s)
-    weights = list(weight_multiplicities(model))
-    step = math.gcd(*(w - weights[0] for w in weights)) / 2
-    return (math.log(tp.alpha0 * step)
-            + 0.5 * math.log(-tp.eta_pp / (2 * math.pi * n))
-            + n * tp.eta)
+    y1 = _log_dim_terms(model, checked_thermo_point(model, s))
+    return y1.term_N * n + y1.term_logN * math.log(n) + y1.term_O1
 
 
 def charge_density_moments(model: ChargeModel, f, s: float) -> dict:
@@ -150,66 +172,46 @@ def charge_density_moments(model: ChargeModel, f, s: float) -> dict:
     Returns {"mean_shift", "variance"}: mean(t) = s + mean_shift/N and
     var(t) = variance/N in the thermodynamic limit.
     """
-    frac = _as_fraction(f)
+    ff = float(_as_fraction(f))
     tp = checked_thermo_point(model, s)
-    ff = float(frac)
     v = (1.0 - ff) / ((-tp.eta_pp) * ff)
-    if model.group is GroupKind.U1:
-        shift = 0.0
-    else:
-        eb = math.exp(tp.beta_star)
-        shift = (-eb * tp.eta_pp / (1.0 - eb)) * v  # (alpha0'/alpha0) * v
-    return {"mean_shift": shift, "variance": v}
+    return {"mean_shift": _dlog_alpha0(tp, model.group, tp.eta_pp * v), "variance": v}
 
 
 def entropy_term_breakdown(model: ChargeModel, f, s: float) -> dict:
     """The three contributions to the average entropy, separately expanded.
 
-    The (1/2) log N pieces of the first two cancel in the sum; the third is
-    zero except at f = 1/2 and infinite-temperature density.
+    The (1/2) log N pieces of the first two cancel in the sum, and so do
+    their log(step) pieces; the third is zero except at f = 1/2 and
+    infinite-temperature density.
     """
     frac = _as_fraction(f)
-    return breakdown_at_point(checked_thermo_point(model, s), model.group, frac)
+    return breakdown_at_point(checked_thermo_point(model, s), model, frac)
 
 
-def breakdown_at_point(tp: ThermoPoint, group: GroupKind, f) -> dict:
-    """``entropy_term_breakdown`` from an already solved thermodynamic point."""
-    frac = _as_fraction(f)
+def breakdown_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> dict:
+    """``entropy_term_breakdown`` from a solved point and a fraction in (0, 1)."""
+    regime = _regime(frac)
     ff = float(frac)
-    half_log = 0.5 * math.log(-tp.eta_pp / (2 * math.pi))
+    log_density = _sector_log_density(model, tp)
     log_a0 = math.log(tp.alpha0)
-    slope = _alpha_slope_ratio(tp, group)
-    at_inf_temp = abs(tp.beta_star) < DELTA_TOLERANCE
-
-    y1 = AsymptoticTerms(term_N=tp.eta, term_sqrtN=0.0, term_logN=-0.5,
-                         term_O1=log_a0 + half_log)
-    y3_o1 = 0.0
-    if frac == Fraction(1, 2):
-        sqrt_term = 0.0 if at_inf_temp else -math.sqrt(tp.c_star / (2 * math.pi))
-        y2 = AsymptoticTerms(
-            term_N=-0.5 * tp.eta,
-            term_sqrtN=sqrt_term,
-            term_logN=0.5,
-            term_O1=(math.log(0.5) + 0.5) / 2 - 0.5 * log_a0 - half_log,
-        )
-        if at_inf_temp:
+    slope = _dlog_alpha0(tp, model.group, tp.beta_star)
+    sqrt_term = y3_o1 = 0.0
+    if regime is Regime.F_HALF:
+        y2_n, y2_o1 = -0.5 * tp.eta, (math.log(0.5) + 0.5) / 2 - 0.5 * log_a0
+        if _at_infinite_temperature(tp):
             y3_o1 = -(tp.alpha0 + 1.0 / tp.alpha0) / 4.0
-    elif frac < Fraction(1, 2):
-        y2 = AsymptoticTerms(
-            term_N=-(1 - ff) * tp.eta,
-            term_sqrtN=0.0,
-            term_logN=0.5,
-            term_O1=(math.log(1 - ff) + ff) / 2 - (1 - ff) * slope - half_log,
-        )
+        else:
+            sqrt_term = -math.sqrt(tp.c_star / (2 * math.pi))
+    elif regime is Regime.F_BELOW_HALF:
+        y2_n = -(1 - ff) * tp.eta
+        y2_o1 = (math.log(1 - ff) + ff) / 2 - (1 - ff) * slope
     else:
-        y2 = AsymptoticTerms(
-            term_N=-ff * tp.eta,
-            term_sqrtN=0.0,
-            term_logN=0.5,
-            term_O1=(math.log(ff) + 1 - ff) / 2 + (1 - ff) * slope - log_a0 - half_log,
-        )
-    y3 = AsymptoticTerms(term_N=0.0, term_sqrtN=0.0, term_logN=0.0, term_O1=y3_o1)
-    return {"y1": y1, "y2": y2, "y3": y3}
+        y2_n = -ff * tp.eta
+        y2_o1 = (math.log(ff) + 1 - ff) / 2 + (1 - ff) * slope - log_a0
+    return {"y1": _log_dim_terms(model, tp),
+            "y2": AsymptoticTerms(y2_n, sqrt_term, 0.5, y2_o1 - log_density),
+            "y3": AsymptoticTerms(0.0, 0.0, 0.0, y3_o1)}
 
 
 def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstimate:
@@ -222,21 +224,14 @@ def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstima
     ``entropy_term_breakdown``, whose (1/2) log N pieces cancel.
     """
     frac = _as_fraction(f)
-    return estimate_at_point(checked_thermo_point(model, s), model.group, frac)
+    return estimate_at_point(checked_thermo_point(model, s), model, frac)
 
 
-def estimate_at_point(tp: ThermoPoint, group: GroupKind, f) -> EntropyEstimate:
-    """``average_entropy_asymptotic`` from an already solved thermodynamic point."""
-    frac = _as_fraction(f)
-    parts = breakdown_at_point(tp, group, frac)
+def estimate_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> EntropyEstimate:
+    """``average_entropy_asymptotic`` from a solved point and a fraction in (0, 1)."""
+    parts = breakdown_at_point(tp, model, frac)
     terms = parts.values()
-    if frac == Fraction(1, 2):
-        regime = Regime.F_HALF
-    elif frac < Fraction(1, 2):
-        regime = Regime.F_BELOW_HALF
-    else:
-        regime = Regime.F_ABOVE_HALF
-    return EntropyEstimate(regime,
+    return EntropyEstimate(_regime(frac),
                            sum(t.term_N for t in terms),
                            sum(t.term_sqrtN for t in terms),
                            sum(t.term_O1 for t in terms),
@@ -247,16 +242,15 @@ def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:
     """Log-domain coefficient and rate of the exponentially suppressed variance."""
     frac = _as_fraction(f)
     tp = checked_thermo_point(model, s)
-    if abs(tp.beta_star) < DELTA_TOLERANCE:
+    if _at_infinite_temperature(tp):
         raise InfiniteTemperatureVarianceError(
             f"s = {s} is the infinite-temperature density; the variance "
             "prefactor c*^(3/2)/|beta*| is singular there"
         )
     ff = float(frac)
-    two_pi = 2 * math.pi
-    geom = math.sqrt(two_pi) * ff * (1 - ff)
-    if frac == Fraction(1, 2):
-        geom -= 1.0 / math.sqrt(two_pi)
+    geom = math.sqrt(2 * math.pi) * ff * (1 - ff)
+    if _regime(frac) is Regime.F_HALF:
+        geom -= 1.0 / math.sqrt(2 * math.pi)
     log_coeff = (math.log(geom) + 1.5 * math.log(tp.c_star)
                  - math.log(tp.alpha0) - math.log(abs(tp.beta_star)))
     return VarianceAsymptotics(log_coefficient=log_coeff, rate=tp.eta)

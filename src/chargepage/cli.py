@@ -26,8 +26,8 @@ from .models import ChargeModel, GroupKind, catalog, catalog_names, \
     charge_str, load_model
 from .sectors import block_table, block_tables, sector_dims
 from .thermo import catalog_closed_forms, density_interval, thermo_point
-from .asymptotics import average_entropy_asymptotic, checked_thermo_point, \
-    estimate_at_point
+from .asymptotics import Regime, average_entropy_asymptotic, \
+    checked_thermo_point, estimate_at_point
 from .exactavg import block_average_entropy, exact_average_entropy
 from .laplace import run_laplace_suite
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
@@ -148,8 +148,10 @@ def cmd_thermo(args) -> int:
     model = _resolve_model(args)
     lo, hi = density_interval(model)
     if model.group is GroupKind.SU2:
-        lo = 0.0
+        lo = 0.0  # spins; s = 0 itself is the extremal point alpha0 = 0
     if args.s is not None:
+        if args.s < lo:
+            raise ValueError(f"--s = {args.s} is below the lowest density {lo}")
         grid = [args.s]
     else:
         span = hi - lo
@@ -189,7 +191,7 @@ def _page_rows(model, n, s, fractions, want_exact):
                 "convolutions": len(bodies) + 1 if bodies else 0}
     rows = []
     for f, n_a in zip(fractions, cuts):
-        est = estimate_at_point(tp, model.group, f)
+        est = estimate_at_point(tp, model, f)
         row = {
             "f": float(f), "s": s, "n": n, "regime": est.regime.value,
             "term_N": est.term_N, "term_sqrtN": est.term_sqrtN,
@@ -299,14 +301,17 @@ def cmd_crosscheck(args) -> int:
     model = _resolve_model(args)
     f = _parse_fraction(args.f)
     n_list = _parse_n_list(args.n_list)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    # the rule page-curve applies; a snapped s on the boundary is a skipped row
+    checked_thermo_point(model, args.s)
     rows = []
-    all_pass = True
     for n in n_list:
         row = {"n": n, "status": "pass"}
+        rows.append(row)
         n_a = f * n
         if n_a.denominator != 1:
             row.update(status="skipped", reason=f"f*n = {n_a} not an integer")
-            rows.append(row)
             continue
         n_a = int(n_a)
         full = sector_dims(model, n)
@@ -317,12 +322,11 @@ def cmd_crosscheck(args) -> int:
             est = average_entropy_asymptotic(model, f, s_snap)
         except ValueError as exc:
             row.update(status="skipped", reason=str(exc))
-            rows.append(row)
             continue
         (table,) = block_tables(full, q2, [n_a])
         res = block_average_entropy(table)
         total = est.total(n)
-        scale = math.sqrt(n) if est.regime.value == "f_half" else float(n)
+        scale = math.sqrt(n) if est.regime is Regime.F_HALF else float(n)
         scaled = abs(res.value - total) * scale
         row.update(exact=res.value, asymptotic=total,
                    abs_diff=abs(res.value - total), scaled_diff=scaled)
@@ -342,9 +346,6 @@ def cmd_crosscheck(args) -> int:
             row.update(mc_mean="", mc_std_error="", z="", reason=str(exc))
             if row["status"] != "fail":
                 row["status"] = "skipped"
-        if row["status"] == "fail":
-            all_pass = False
-        rows.append(row)
     keys = ["n", "q", "s_snapped", "exact", "asymptotic", "abs_diff",
             "scaled_diff", "mc_mean", "mc_std_error", "z", "status", "reason"]
     rows = [{k: row.get(k, "") for k in keys} for row in rows]
@@ -352,7 +353,7 @@ def cmd_crosscheck(args) -> int:
             "f": str(f), "s": args.s, "samples": args.samples,
             "seed": args.seed, "tolerance": args.tol}
     _emit(rows, meta, args)
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    return EXIT_VERIFY if any(row["status"] == "fail" for row in rows) else EXIT_OK
 
 
 def cmd_laplace_check(args) -> int:
@@ -361,13 +362,10 @@ def cmd_laplace_check(args) -> int:
         raise ValueError(f"--n-list needs at least two distinct values to fit a slope, "
                          f"got {args.n_list!r}")
     rows = run_laplace_suite(ns)
-    all_pass = True
     for row in rows:
-        ok = abs(row["slope"] - row["target"]) <= 0.15
-        row["status"] = "pass" if ok else "fail"
-        all_pass &= ok
+        row["status"] = "pass" if abs(row["slope"] - row["target"]) <= 0.15 else "fail"
     _emit(rows, {"command": "laplace-check", "n_list": list(ns)}, args)
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    return EXIT_VERIFY if any(row["status"] == "fail" for row in rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

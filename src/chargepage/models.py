@@ -7,6 +7,7 @@ magnetic numbers stay exact. All public text I/O prints physical values.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -142,6 +143,12 @@ def weight_multiplicities(model: ChargeModel) -> dict[int, int]:
             for m2 in range(-j2, j2 + 1, 2):
                 weights[m2] = weights.get(m2, 0) + a
     return dict(sorted(weights.items()))
+
+
+def lattice_step(model: ChargeModel) -> int:
+    """Spacing of the doubled weight lattice: gcd of weight differences, 1 if one weight."""
+    weights = list(weight_multiplicities(model))
+    return math.gcd(*(w - weights[0] for w in weights)) or 1
 
 
 _CATALOG = {

@@ -16,11 +16,10 @@ overflows machine words at desk scale.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .models import ChargeModel, GroupKind, weight_multiplicities
+from .models import ChargeModel, GroupKind, lattice_step, weight_multiplicities
 
 
 class EmptySectorError(ValueError):
@@ -79,7 +78,7 @@ def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
         raise ValueError(f"n = {n} must be >= 0")
     local = weight_multiplicities(model)
     w_min = min(local)
-    step = math.gcd(*(w - w_min for w in local)) or 1
+    step = lattice_step(model)
     terms = [((w - w_min) // step, a) for w, a in local.items() if w != w_min]
     a0 = local[w_min]
     top = (max(local) - w_min) // step

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chargepage.exactavg import exact_average_entropy
 from chargepage.models import ChargeModel, SystemGeometry, catalog, catalog_names
 from chargepage.sectors import sector_dims
 from chargepage.thermo import DensityDomainError, density_interval, thermo_point
@@ -212,12 +213,19 @@ def test_u1_order_one_limit_matches_half_formula():
     assert abs(near - half_o1) < 1e-5
 
 
+STEP_TWO_U1 = ChargeModel("U1", {0: 1, 4: 1})  # charges 0 and 2: lattice spacing 2
+STEP_HALF_SU2 = ChargeModel("SU2", {0: 1, 1: 1})  # spins 0 and 1/2: lattice spacing 1/2
+
+
 def test_entropy_term_breakdown_sums_to_estimate():
-    cases = [("u1-qubit", Fraction(1, 4), 0.1), ("u1-qubit", Fraction(1, 2), 0.1),
-             ("su2-trimer", Fraction(1, 4), 0.6), ("su2-trimer", Fraction(2, 3), 0.6),
-             ("u1-2bosons", Fraction(1, 2), 2 / 3)]
-    for name, f, s in cases:
-        model = catalog(name)
+    cases = [(catalog("u1-qubit"), Fraction(1, 4), 0.1),
+             (catalog("u1-qubit"), Fraction(1, 2), 0.1),
+             (catalog("su2-trimer"), Fraction(1, 4), 0.6),
+             (catalog("su2-trimer"), Fraction(2, 3), 0.6),
+             (catalog("u1-2bosons"), Fraction(1, 2), 2 / 3),
+             (STEP_TWO_U1, Fraction(1, 4), 0.7), (STEP_TWO_U1, Fraction(1, 2), 1.0),
+             (STEP_HALF_SU2, Fraction(1, 2), 0.2), (STEP_HALF_SU2, Fraction(3, 4), 0.2)]
+    for model, f, s in cases:
         parts = entropy_term_breakdown(model, f, s)
         est = average_entropy_asymptotic(model, f, s)
         y1, y2, y3 = parts["y1"], parts["y2"], parts["y3"]
@@ -226,6 +234,32 @@ def test_entropy_term_breakdown_sums_to_estimate():
         assert abs(y1.term_sqrtN + y2.term_sqrtN + y3.term_sqrtN
                    - est.term_sqrtN) < 1e-13
         assert abs(y1.term_O1 + y2.term_O1 + y3.term_O1 - est.term_O1) < 1e-12
+
+
+def _terms_at(terms, n):
+    return (terms.term_N * n + terms.term_sqrtN * math.sqrt(n)
+            + terms.term_logN * math.log(n) + terms.term_O1)
+
+
+@pytest.mark.parametrize("model, s", [(STEP_TWO_U1, 0.7), (STEP_HALF_SU2, 0.2)])
+def test_entropy_term_breakdown_matches_exact_terms_on_a_charge_lattice(model, s):
+    # y1 = log D_q carries log(step) and y2 carries -log(step); leaving them
+    # out shifts each residual by log(step) = +-log 2 at every N. An O(1/N)
+    # residual keeps N*|r| fixed when N grows fourfold. The bound lets it grow
+    # by sqrt(1600/400) = 2, the geometric midpoint between that and the
+    # fourfold growth of an O(1) residual.
+    scaled = {}
+    for n in (400, 1600):
+        q2 = round(2 * s * n)
+        for f in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            exact = exact_average_entropy(model, n, int(f * n), q2)
+            parts = entropy_term_breakdown(model, f, q2 / (2 * n))
+            scaled[n, f, "y1"] = n * abs(exact.y1 - _terms_at(parts["y1"], n))
+            if f != Fraction(1, 2):  # y2 at the half cut is O(1/sqrt(N)) off s_ast
+                scaled[n, f, "y2"] = n * abs(exact.y2 - _terms_at(parts["y2"], n))
+    for (n, f, term), value in scaled.items():
+        if n == 1600:
+            assert value <= math.sqrt(1600 / 400) * scaled[400, f, term], (f, term, scaled)
 
 
 def test_entropy_term_breakdown_structure():

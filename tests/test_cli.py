@@ -345,6 +345,14 @@ def test_crosscheck_skips_infeasible(capsys):
     assert code == 0  # skipped rows do not fail the run
     _, rows = parse_csv(out)
     assert rows[1]["status"] == "skipped"
+    # a valid s that snaps onto the SU(2) boundary s = 0 at small N skips that row
+    code, out = invoke(capsys, "crosscheck", "--model", "su2-qubit",
+                       "--n-list", "2,8", "--f", "1/2", "--s", "0.1",
+                       "--samples", "200", "--seed", "5")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row["status"] for row in rows] == ["skipped", "pass"]
+    assert float(rows[0]["s_snapped"]) == 0.0 and "s > 0" in rows[0]["reason"]
 
 
 def test_failed_verification_exits_one(capsys):
@@ -443,6 +451,38 @@ def test_invalid_tolerance_is_a_usage_error(capsys):
         main(["crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
               "--s", "0.0", "--tol", "nope"])
     assert exc.value.code == EXIT_USAGE == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_non_finite_or_non_positive_tolerance_is_a_usage_error(capsys, tol):
+    # "scaled >= nan" is always false, so --tol nan would pass every row
+    code = main(["crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
+                 "--s", "0.1", "--samples", "50", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: --tol must be finite and > 0" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("model, s", [("u1-qubit", "nan"), ("u1-qubit", "inf"),
+                                      ("u1-qubit", "5"), ("u1-qubit", "-0.7"),
+                                      ("su2-qubit", "0")])
+def test_crosscheck_density_outside_the_domain_is_a_usage_error(capsys, model, s):
+    # each of these used to exit 0 with every row skipped, having checked nothing
+    code = main(["crosscheck", "--model", model, "--n-list", "8,12", "--f", "1/2",
+                 "--s", s, "--samples", "50"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("chargepage: error: ") and captured.out == ""
+
+
+def test_thermo_su2_density_below_zero_is_a_usage_error(capsys):
+    code = main(["thermo", "--model", "su2-qubit", "--s", "-0.2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: --s = -0.2 is below the lowest density 0.0" in captured.err
+    assert captured.out == ""
+    code, out = invoke(capsys, "thermo", "--model", "su2-qubit", "--s", "0")
+    assert code == 0 and float(parse_csv(out)[1][0]["s"]) == 0.0
 
 
 def test_model_file_flag(tmp_path, capsys):
