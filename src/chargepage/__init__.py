@@ -7,8 +7,7 @@ fixed-charge states.
 """
 
 from .models import (
-    ChargeModel, GroupKind, SystemGeometry,
-    catalog, catalog_names, load_model, weight_multiplicities,
+    ChargeModel, GroupKind, catalog, catalog_names, load_model, weight_multiplicities,
 )
 from .sectors import (
     BlockTable, SectorTable, block_table, block_tables, realizable_charges,
@@ -30,7 +29,7 @@ from .montecarlo import McConfig, McRun, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChargeModel", "GroupKind", "SystemGeometry", "catalog", "catalog_names",
+    "ChargeModel", "GroupKind", "catalog", "catalog_names",
     "load_model", "weight_multiplicities",
     "BlockTable", "SectorTable", "block_table", "block_tables",
     "realizable_charges", "sector_dims", "weight_counts",

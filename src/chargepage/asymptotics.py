@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .models import ChargeModel, GroupKind, SystemGeometry, lattice_step
+from .models import ChargeModel, GroupKind, lattice_step
 from .sectors import block_table
 from .thermo import ThermoPoint, thermo_point
 
@@ -92,7 +92,6 @@ class VarianceAsymptotics:
 class SubsystemChargeDistribution:
     """Exact finite-N distribution of the subsystem charge density t = q_A/N_A."""
 
-    geometry: SystemGeometry
     q_total: int
     support: tuple[tuple[float, float], ...]
 
@@ -256,13 +255,13 @@ def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:
     return VarianceAsymptotics(log_coefficient=log_coeff, rate=tp.eta)
 
 
-def subsystem_charge_distribution(model: ChargeModel, geometry: SystemGeometry,
+def subsystem_charge_distribution(model: ChargeModel, n_total: int, n_a: int,
                                   q_total: int) -> SubsystemChargeDistribution:
     """Exact distribution of t = q_A/N_A built from big-integer block dimensions."""
-    table = block_table(model, geometry.n_total, geometry.n_a, q_total)
+    table = block_table(model, n_total, n_a, q_total)
     total = table.sector_dimension
     support = tuple(
-        (qa2 / (2.0 * geometry.n_a), float(Fraction(d * b, total)))
+        (qa2 / (2.0 * n_a), float(Fraction(d * b, total)))
         for qa2, d, b in table.blocks
     )
-    return SubsystemChargeDistribution(geometry, q_total, support)
+    return SubsystemChargeDistribution(q_total, support)

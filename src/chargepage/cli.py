@@ -161,7 +161,7 @@ def cmd_thermo(args) -> int:
         tp = thermo_point(model, s)
         row = {"s": s, "beta_star": tp.beta_star, "eta": tp.eta,
                "eta_pp": tp.eta_pp, "c_star": tp.c_star, "alpha0": tp.alpha0}
-        if args.closed_form and model.name in catalog_names():
+        if args.closed_form and args.model:  # a model file may reuse a catalog name
             row["eta_closed_form"] = catalog_closed_forms(model.name, s).eta
         rows.append(row)
     _emit(rows, {"command": "thermo", "model": model.as_dict()}, args)
@@ -301,6 +301,7 @@ def cmd_crosscheck(args) -> int:
     model = _resolve_model(args)
     f = _parse_fraction(args.f)
     n_list = _parse_n_list(args.n_list)
+    _require("--samples", args.samples, 2)  # one sample has no standard error
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     # the rule page-curve applies; a snapped s on the boundary is a skipped row

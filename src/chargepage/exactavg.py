@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import ChargeModel, SystemGeometry
-from .sectors import BlockTable, EmptySectorError, block_table, sector_dims
+from .models import ChargeModel
+from .sectors import BlockTable, block_table, sector_dims
 
 # asymptotic tail: psi(x) = log x - 1/(2x) - sum c_k / x^(2k), valid for x >= 10
 _TAIL_COEFFS = (
@@ -62,7 +62,6 @@ class ExactAverage:
     y2: float
     y3: float
     q_total: int
-    geometry: SystemGeometry
     degenerate: bool = False
 
 
@@ -73,14 +72,14 @@ def exact_average_entropy(model: ChargeModel, n_total: int, n_a: int,
     The cuts n_a = 0 and n_a = n_total are flagged degenerate with entropy 0;
     every other cut is ``block_average_entropy`` of its block table.
     """
-    geometry = SystemGeometry(n_total, n_a)  # rejects a bad cut before any convolution
+    # a bad cut is rejected before any convolution
+    if n_total < 1:
+        raise ValueError(f"n_total = {n_total} must be >= 1")
+    if not 0 <= n_a <= n_total:
+        raise ValueError(f"n_a = {n_a} outside [0, {n_total}]")
     if n_a in (0, n_total):
-        if sector_dims(model, n_total).dims.get(q_total, 0) < 1:
-            raise EmptySectorError(
-                f"charge {q_total}/2 (doubled {q_total}) is not realizable "
-                f"for n = {n_total}"
-            )
-        return ExactAverage(0.0, 0.0, 0.0, 0.0, q_total, geometry, degenerate=True)
+        sector_dims(model, n_total).dimension(q_total)  # rejects an unrealizable charge
+        return ExactAverage(0.0, 0.0, 0.0, 0.0, q_total, degenerate=True)
     return block_average_entropy(block_table(model, n_total, n_a, q_total))
 
 
@@ -91,7 +90,6 @@ def block_average_entropy(table: BlockTable) -> ExactAverage:
     the blocks. Block weights d*b/D are exp(log d + log b - log D); max/min
     comparisons stay in exact integers.
     """
-    geometry = SystemGeometry(table.n_total, table.n_a)
     dim = table.sector_dimension
     log_dim = math.log(dim)
 
@@ -107,4 +105,4 @@ def block_average_entropy(table: BlockTable) -> ExactAverage:
         y3_terms.append(-0.5 * ratio * weight)
     y2 = math.fsum(y2_terms)
     y3 = math.fsum(y3_terms)
-    return ExactAverage(y1 + y2 + y3, y1, y2, y3, table.q_total, geometry)
+    return ExactAverage(y1 + y2 + y3, y1, y2, y3, table.q_total)

@@ -11,7 +11,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping
 
 
@@ -98,34 +97,6 @@ class ChargeModel:
         if self.name is not None:
             d["name"] = self.name
         return d
-
-
-@dataclass(frozen=True)
-class SystemGeometry:
-    """Bipartition of N bodies into N_A and N_B = N - N_A."""
-
-    n_total: int
-    n_a: int
-
-    def __post_init__(self):
-        if self.n_total < 1:
-            raise ModelValidationError(f"n_total = {self.n_total} must be >= 1")
-        if not 0 <= self.n_a <= self.n_total:
-            raise ModelValidationError(f"n_a = {self.n_a} outside [0, {self.n_total}]")
-
-    @property
-    def n_b(self) -> int:
-        return self.n_total - self.n_a
-
-    @property
-    def f(self) -> Fraction:
-        """Subsystem fraction N_A / N as an exact rational."""
-        return Fraction(self.n_a, self.n_total)
-
-    @property
-    def is_half(self) -> bool:
-        # exact test; never compare the fraction in floating point
-        return 2 * self.n_a == self.n_total
 
 
 def weight_multiplicities(model: ChargeModel) -> dict[int, int]:

@@ -19,8 +19,8 @@ A run spreads over a thread pool of (usable CPUs) // (BLAS threads) workers,
 the BLAS count read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
 taken as every usable CPU. So the sampler stays serial while BLAS may use
 all cores, and OPENBLAS_NUM_THREADS=1 lets it use every core. Chunks go in
-waves of one per worker: the wave's draws run in parallel, then its rows are
-cut into at least one slice per worker for the eigensolves (numpy releases
+waves of one per worker: the wave's draws run in parallel, then each chunk's
+rows are split into one piece per worker for the eigensolves (numpy releases
 the GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool. The
 workers share the MAX_BATCH_BYTES budget.
 """
@@ -40,10 +40,10 @@ from .sectors import block_table
 #: samples per generator
 CHUNK = 512
 #: bytes in flight across all workers: each worker's share holds one chunk's
-#: chi^2 draws plus the T matrices of its slice of rows
+#: chi^2 draws plus the T matrices of one batch of rows
 MAX_BATCH_BYTES = 32 * 2**20
 #: least samples * sum(count * m^3) run on a thread pool. A pool costs about
-#: 1.5-3 ms (thread start, slices of a few rows contending for the GIL); on a
+#: 1.5-3 ms (thread start, pieces of a few rows contending for the GIL); on a
 #: 2-vCPU x86-64 machine it paid off from about 5e5 at m <= 10 and 9e6 at
 #: m ~ 70, so runs below this floor lose at most a few ms and larger ones gain
 MIN_TASK_WORK = 2 * 10**6
@@ -110,25 +110,6 @@ def _entropies(groups, draws: np.ndarray, batch: int) -> np.ndarray:
     return out
 
 
-def _slices(sizes: list[int], parts: int):
-    """(chunk position, lo, hi) row ranges: a wave of chunks of ``sizes`` rows cut
-    into ``parts`` near-equal slices, each split again at chunk edges."""
-    total, start = sum(sizes), 0
-    cuts = {total * i // parts for i in range(1, parts)}
-    for pos, size in enumerate(sizes):
-        edges = sorted({0, size, *(c - start for c in cuts if start < c < start + size)})
-        yield from ((pos, lo, hi) for lo, hi in zip(edges, edges[1:]))
-        start += size
-
-
-def _wave(pmap, groups, dof, seed: int, chunks, workers: int, batch: int):
-    """Entropies of ``chunks`` [(index, rows)]: all draws, then the eigensolves
-    in one slice per worker, each mapped by ``pmap``."""
-    draws = list(pmap(lambda chunk: _draw(dof, seed, *chunk), chunks))
-    return pmap(lambda piece: _entropies(groups, draws[piece[0]][piece[1]:piece[2]], batch),
-                _slices([rows for _, rows in chunks], workers))
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -170,10 +151,12 @@ def run(config: McConfig) -> McRun:
               for start in range(0, config.samples, CHUNK)]
 
     def sample(pmap):
-        return np.concatenate([
-            part for lo in range(0, len(chunks), workers)
-            for part in _wave(pmap, groups, dof, config.seed, chunks[lo:lo + workers],
-                              workers, batch)])
+        parts = []
+        for lo in range(0, len(chunks), workers):
+            draws = pmap(lambda chunk: _draw(dof, config.seed, *chunk), chunks[lo:lo + workers])
+            parts += pmap(lambda piece: _entropies(groups, piece, batch),
+                          [piece for rows in draws for piece in np.array_split(rows, workers)])
+        return np.concatenate(parts)
 
     if workers == 1:
         entropies = sample(map)

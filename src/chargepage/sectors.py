@@ -42,6 +42,15 @@ class SectorTable:
         target = 2.0 * s * self.n
         return min(self.dims, key=lambda q2: (abs(q2 - target), q2))
 
+    def dimension(self, q_total: int) -> int:
+        """D_q of doubled charge ``q_total``; an unrealizable charge is an error."""
+        if self.dims.get(q_total, 0) < 1:
+            raise EmptySectorError(
+                f"charge {q_total}/2 (doubled {q_total}) is not realizable for "
+                f"{self.model.name or self.model.group.value} with n = {self.n}"
+            )
+        return self.dims[q_total]
+
     def total_dimension(self) -> int:
         """Recombine sectors: equals k^n exactly."""
         if self.model.group is GroupKind.U1:
@@ -156,11 +165,7 @@ def block_tables(full: SectorTable, q_total: int,
     wanted = set(cuts)
     for n_a in sorted(wanted):
         _check_cut(n_total, n_a)
-    if full.dims.get(q_total, 0) < 1:
-        raise EmptySectorError(
-            f"charge {q_total}/2 (doubled {q_total}) is not realizable for "
-            f"{model.name or model.group.value} with n = {n_total}"
-        )
+    full.dimension(q_total)  # rejects an unrealizable charge before any convolution
     for small in sorted({min(a, n_total - a) for a in wanted}):
         counts = {m: weight_counts(model, m) for m in sorted({small, n_total - small})}
         for n_a in sorted(wanted & counts.keys()):

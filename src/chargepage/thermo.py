@@ -107,7 +107,9 @@ def solve_beta_star(model: ChargeModel, s: float) -> float:
 
     Bisection on the strictly decreasing mean-charge function, on a bracket
     expanded from [-1, 1] by doubling. Robust arbitrarily close to the
-    boundary, where Newton iterations would overshoot.
+    boundary, where Newton iterations would overshoot. A midpoint whose mean
+    is exactly s is returned as is, so beta* = 0.0 at the infinite-temperature
+    density.
     """
     _check_density(model, s)
 
@@ -123,7 +125,10 @@ def solve_beta_star(model: ChargeModel, s: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mean_at(mid) > s:
+        mean = mean_at(mid)
+        if mean == s:
+            return mid
+        if mean > s:
             lo = mid
         else:
             hi = mid

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chargepage.exactavg import exact_average_entropy
-from chargepage.models import ChargeModel, SystemGeometry, catalog, catalog_names
+from chargepage.models import ChargeModel, catalog, catalog_names
 from chargepage.sectors import sector_dims
 from chargepage.thermo import DensityDomainError, density_interval, thermo_point
 from chargepage.asymptotics import (
@@ -90,7 +90,7 @@ def test_exact_distribution_moments_approach_coefficients():
     model = catalog("u1-qubit")
     errors = []
     for n in (32, 64, 128, 256):
-        dist = subsystem_charge_distribution(model, SystemGeometry(n, n // 2), 0)
+        dist = subsystem_charge_distribution(model, n, n // 2, 0)
         assert abs(sum(p for _, p in dist.support) - 1.0) < 1e-12
         errors.append(abs(dist.central_moment(0.0, 2) * n - 0.25))
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -102,7 +102,7 @@ def test_su2_finite_size_mean_shift_has_predicted_sign_and_size():
     n = 192
     q2 = sector_dims(model, n).snap(0.4)
     s = q2 / (2 * n)
-    dist = subsystem_charge_distribution(model, SystemGeometry(n, n // 3), q2)
+    dist = subsystem_charge_distribution(model, n, n // 3, q2)
     shift = charge_density_moments(model, Fraction(1, 3), s)["mean_shift"]
     assert abs((dist.mean() - s) * n - shift) < 0.1 * abs(shift)
 

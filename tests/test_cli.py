@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -205,6 +206,9 @@ def test_page_curve_memory_holds_one_mirror_pair(capsys):
       "--exact"), "--n"),
     (("thermo", "--model", "u1-qubit", "--grid", "-1"), "--grid"),
     (("thermo", "--model", "u1-qubit", "--grid", "0"), "--grid"),
+    # one sample has std_error 0, so any difference from the exact value is z = inf
+    (("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2", "--s", "0.0",
+      "--samples", "1"), "--samples"),
 ])
 def test_invalid_grid_sizes_are_usage_errors(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -446,6 +450,17 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
     assert "internal error: ZeroDivisionError" in capsys.readouterr().err
 
 
+def test_invariant_violation_exits_three(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("block normalization broken")
+
+    monkeypatch.setattr(cli, "sector_dims", broken)
+    assert main(["dims", "--model", "u1-qubit", "--n", "4"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "internal invariant violation: block normalization broken" in captured.err
+    assert captured.out == ""
+
+
 def test_invalid_tolerance_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
@@ -483,6 +498,90 @@ def test_thermo_su2_density_below_zero_is_a_usage_error(capsys):
     assert captured.out == ""
     code, out = invoke(capsys, "thermo", "--model", "su2-qubit", "--s", "0")
     assert code == 0 and float(parse_csv(out)[1][0]["s"]) == 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dims", "--model", "u1-qubit", "--model-file", "m.json", "--n", "4"),
+     "give either --model or --model-file, not both"),
+    (("dims", "--model", "u1-qubit", "--n", "4", "--na", "2"),
+     "--na and --q must be given together"),
+    (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", "3/2"),
+     "fraction '3/2' must lie strictly between 0 and 1"),
+    (("exact", "--model", "u1-qubit", "--n", "0", "--na", "0", "--q", "0"),
+     "n_total = 0 must be >= 1"),
+    (("exact", "--model", "u1-qubit", "--n", "5", "--na", "7", "--q", "0"),
+     "n_a = 7 outside [0, 5]"),
+])
+def test_usage_errors_name_the_problem(capsys, argv, message):
+    assert main(list(argv)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"chargepage: error: {message}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("n_a", [0, 3, 10])
+def test_unrealizable_charge_message_names_the_model_at_every_cut(capsys, n_a):
+    assert main(["exact", "--model", "u1-qutrit", "--n", "10", "--na", str(n_a),
+                 "--q", "99"]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("chargepage: error: charge 198/2 (doubled 198) "
+                                       "is not realizable for u1-qutrit with n = 10\n")
+
+
+def test_thermo_closed_form_column(tmp_path, capsys):
+    code, out = invoke(capsys, "thermo", "--model", "su2-trimer", "--grid", "5",
+                       "--closed-form")
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert len(rows) == 5
+    for row in rows:
+        assert abs(float(row["eta_closed_form"]) - float(row["eta"])) < 1e-10
+    # a model file is not a catalog model, even when it reuses a catalog name
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"group": "U1", "multiplicities": {"0": 1, "4": 1},
+                                "name": "u1-qubit"}), encoding="utf-8")
+    code, out = invoke(capsys, "thermo", "--model-file", str(path), "--s", "0.3",
+                       "--closed-form")
+    assert code == 0
+    assert "eta_closed_form" not in parse_csv(out)[1][0]
+
+
+def fake_mc_run(offset=None):
+    """A stand-in for cli.mc_run: a mean ``offset`` standard errors of 0.01 from
+    the exact value, or, with no offset, a refused sector."""
+    def fake(config):
+        if offset is None:
+            raise montecarlo.SectorSizeError("sector refused")
+        exact = exact_average_entropy(config.model, config.n_total, config.n_a,
+                                      config.q_total).value
+        return SimpleNamespace(mean=exact + offset * 0.01, std_error=0.01)
+    return fake
+
+
+CROSSCHECK_8 = ("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
+                "--s", "0.0", "--samples", "100")
+
+
+@pytest.mark.parametrize("offset, status, exit_code", [
+    (3.5, "pass", 0), (-3.5, "pass", 0), (4.5, "fail", EXIT_VERIFY),
+    (-4.5, "fail", EXIT_VERIFY)])
+def test_crosscheck_monte_carlo_leg_fails_from_z_four(capsys, monkeypatch,
+                                                      offset, status, exit_code):
+    monkeypatch.setattr(cli, "mc_run", fake_mc_run(offset))
+    code, out = invoke(capsys, *CROSSCHECK_8)
+    row = parse_csv(out)[1][0]
+    assert code == exit_code and row["status"] == status
+    assert abs(float(row["z"]) - abs(offset)) < 1e-9
+    assert float(row["scaled_diff"]) < 2.0  # the exact leg passes
+
+
+def test_refused_monte_carlo_leg_beside_a_passing_exact_leg_is_skipped(capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(cli, "mc_run", fake_mc_run())
+    code, out = invoke(capsys, *CROSSCHECK_8)
+    row = parse_csv(out)[1][0]
+    assert code == 0
+    assert row["status"] == "skipped" and row["reason"] == "sector refused"
+    assert row["mc_mean"] == row["z"] == ""
+    assert float(row["scaled_diff"]) < 2.0 and row["exact"] != ""
 
 
 def test_model_file_flag(tmp_path, capsys):

@@ -1,11 +1,10 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chargepage.models import (
-    ChargeModel, GroupKind, ModelValidationError, SystemGeometry,
+    ChargeModel, GroupKind, ModelValidationError,
     UnknownModelError, catalog, catalog_names, charge_str, load_model,
     weight_multiplicities,
 )
@@ -153,19 +152,6 @@ def test_malformed_model_files_are_rejected(tmp_path, text, message):
     with pytest.raises(ModelValidationError) as err:
         load_model(str(path))
     assert message in str(err.value)
-
-
-def test_geometry_fraction_is_exact():
-    geo = SystemGeometry(12, 6)
-    assert geo.f == Fraction(1, 2)
-    assert geo.is_half
-    assert geo.n_b == 6
-    assert not SystemGeometry(12, 5).is_half
-    assert SystemGeometry(3, 1).f == Fraction(1, 3)
-    with pytest.raises(ModelValidationError):
-        SystemGeometry(4, 5)
-    with pytest.raises(ModelValidationError):
-        SystemGeometry(0, 0)
 
 
 def test_charge_str_prints_physical_values():

@@ -82,7 +82,7 @@ def test_sector_dims_match_ladder_recursion():
 
 
 def test_su2_completeness_identity():
-    for name in ("su2-qubit", "su2-qutrit", "su2-trimer"):
+    for name in catalog_names():  # the U(1) models recombine without the 2j + 1
         model = catalog(name)
         for n in range(1, 15):
             assert sector_dims(model, n).total_dimension() == model.local_dim**n

@@ -73,7 +73,8 @@ def test_beta_star_vanishes_at_infinite_temperature_density():
     for name in catalog_names():
         model = catalog(name)
         s_ast = infinite_temperature_density(model)
-        assert abs(solve_beta_star(model, s_ast)) < 1e-12
+        # the first bisection midpoint, beta = 0, has mean exactly s*
+        assert solve_beta_star(model, s_ast) == 0.0
 
 
 def test_beta_star_round_trip_mean():
