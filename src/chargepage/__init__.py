@@ -22,7 +22,7 @@ from .asymptotics import (
     asymptotic_log_dim, average_entropy_asymptotic, charge_density_moments,
     entropy_term_breakdown, subsystem_charge_distribution, variance_asymptotic,
 )
-from .laplace import LaplaceProblem, laplace_discontinuous, laplace_smooth
+from .laplace import LaplaceProblem, laplace_discontinuous
 from .exactavg import ExactAverage, block_average_entropy, exact_average_entropy
 from .montecarlo import McConfig, McRun, run
 
@@ -40,7 +40,7 @@ __all__ = [
     "SubsystemChargeDistribution", "VarianceAsymptotics",
     "asymptotic_log_dim", "average_entropy_asymptotic",
     "charge_density_moments", "entropy_term_breakdown",
-    "laplace_discontinuous", "laplace_smooth",
+    "laplace_discontinuous",
     "subsystem_charge_distribution", "variance_asymptotic",
     "ExactAverage", "block_average_entropy", "exact_average_entropy",
     "McConfig", "McRun", "run",

@@ -40,7 +40,7 @@ DELTA_TOLERANCE = 1e-9
 
 
 class ExtremalChargeError(ValueError):
-    """SU(2) at zero charge density: the stationary-point formula breaks down."""
+    """SU(2) at or near zero charge density: the stationary-point formula breaks down."""
 
 
 class InfiniteTemperatureVarianceError(ValueError):
@@ -123,11 +123,16 @@ def _at_infinite_temperature(tp: ThermoPoint) -> bool:
 
 
 def checked_thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
-    """``thermo_point``, refusing the SU(2) extremal density s <= 0 first."""
-    if model.group is GroupKind.SU2 and s <= 0:
-        raise ExtremalChargeError("SU2 asymptotics need charge density s > 0; s = 0 is "
-                                  "the extremal case where alpha0 vanishes")
-    return thermo_point(model, s)
+    """``thermo_point``, refusing an SU(2) point with beta* > -DELTA_TOLERANCE.
+
+    That is every s <= 0, and any s so near 0 that alpha0 = 1 - exp(beta*)
+    nearly vanishes and the delta term's 1/alpha0 blows up.
+    """
+    tp = thermo_point(model, s)
+    if model.group is GroupKind.SU2 and tp.beta_star > -DELTA_TOLERANCE:
+        raise ExtremalChargeError(f"SU2 asymptotics need charge density s > 0 with beta* < "
+                                  f"-{DELTA_TOLERANCE}; s = {s} has beta* = {tp.beta_star}")
+    return tp
 
 
 def _dlog_alpha0(tp: ThermoPoint, group: GroupKind, dbeta: float) -> float:

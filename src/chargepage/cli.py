@@ -29,7 +29,7 @@ from .thermo import catalog_closed_forms, density_interval, thermo_point
 from .asymptotics import Regime, average_entropy_asymptotic, \
     checked_thermo_point, estimate_at_point
 from .exactavg import block_average_entropy, exact_average_entropy
-from .laplace import run_laplace_suite
+from .laplace import MAX_SUITE_N, run_laplace_suite
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
 EXIT_OK = 0
@@ -362,6 +362,9 @@ def cmd_laplace_check(args) -> int:
     if len(set(ns)) < 2:
         raise ValueError(f"--n-list needs at least two distinct values to fit a slope, "
                          f"got {args.n_list!r}")
+    if max(ns) > MAX_SUITE_N:
+        raise ValueError(f"--n-list must be <= {MAX_SUITE_N}, got {max(ns)}: beyond it "
+                         "the quadrature reference cannot resolve the error")
     rows = run_laplace_suite(ns)
     for row in rows:
         row["status"] = "pass" if abs(row["slope"] - row["target"]) <= 0.15 else "fail"

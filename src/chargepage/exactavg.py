@@ -97,12 +97,12 @@ def block_average_entropy(table: BlockTable) -> ExactAverage:
     y2_terms = []
     y3_terms = []
     for _, d, b in table.blocks:
-        weight = math.exp(math.log(d) + math.log(b) - log_dim)
+        log_d, log_b = math.log(d), math.log(b)
+        weight = math.exp(log_d + log_b - log_dim)
         big = d if d >= b else b
         inv_corr = 0.5 / big if big.bit_length() < 1000 else 0.0
         y2_terms.append(-(digamma_of_big_plus_one(big) - inv_corr) * weight)
-        ratio = 1.0 if d == b else math.exp(-abs(math.log(d) - math.log(b)))
-        y3_terms.append(-0.5 * ratio * weight)
+        y3_terms.append(-0.5 * math.exp(-abs(log_d - log_b)) * weight)
     y2 = math.fsum(y2_terms)
     y3 = math.fsum(y3_terms)
     return ExactAverage(y1 + y2 + y3, y1, y2, y3, table.q_total)

@@ -1,11 +1,11 @@
 """Laplace-method asymptotics of integrals of h(t) exp(n g(t)).
 
-Covers the smooth case through the 1/n correction C1 and the case of a
-prefactor h with a jump (in value and/or derivatives) at the maximum, which
-introduces half-integer corrections C_1/2 and C_1.
+One expansion, ``laplace_discontinuous``, covers a prefactor h with a jump
+(in value and/or derivatives) at the maximum through the corrections C_1/2
+and C_1; a smooth prefactor is the case h- = h+, where C_1/2 = 0.
 
 Derivative values at the maximum are supplied by the caller; nothing here
-differentiates anything. ``run_laplace_suite`` checks both expansions on ten
+differentiates anything. ``run_laplace_suite`` checks the expansion on ten
 analytic problems against adaptive quadrature (the ``laplace-check``
 subcommand): the relative error must fall as n^-2 for a smooth prefactor
 and as n^-3/2 for one with a jump.
@@ -52,33 +52,14 @@ class LaplaceProblem:
             raise NotAMaximumError(f"g''(t0) = {g2} must be negative")
 
 
-def laplace_smooth(problem: LaplaceProblem, n: float) -> dict:
-    """Evaluate the smooth-prefactor expansion including the 1/n correction.
-
-    Returns {"value", "c1"} with
-    value = (1 + c1/n) sqrt(2 pi / (-g'' n)) h(t0) exp(n g(t0)).
-    """
-    if problem.h_minus != problem.h_plus:
-        raise ValueError("prefactor is discontinuous; use laplace_discontinuous")
-    g0, _, g2, g3, g4 = problem.g_derivs
-    h0, h1, h2 = problem.h_minus
-    if h0 == 0:
-        raise DegeneratePrefactorError("h(t0) = 0: leading term vanishes")
-    c1 = (-h2 / (2 * h0 * g2)
-          + h1 * g3 / (2 * h0 * g2 ** 2)
-          - 5 * g3 ** 2 / (24 * g2 ** 3)
-          + g4 / (8 * g2 ** 2))
-    value = (1 + c1 / n) * math.sqrt(2 * math.pi / (-g2 * n)) * h0 * math.exp(n * g0)
-    return {"value": value, "c1": c1}
-
-
 def laplace_discontinuous(problem: LaplaceProblem, n: float) -> dict:
-    """Expansion for a prefactor with one-sided limits h-(t0) != h+(t0).
+    """Expansion for a prefactor with one-sided limits h-(t0) and h+(t0).
 
-    The leading term carries the average of the one-sided limits and the
+    The leading term carries the average of the one-sided limits and a
     jump sources a 1/sqrt(n) correction:
     value = (1 + c_half/sqrt(n) + c_one/n) sqrt(2 pi/(-g'' n))
             (h- + h+)/2 exp(n g(t0)).
+    A smooth prefactor passes the same triple twice and gets c_half = 0.
     """
     g0, _, g2, g3, g4 = problem.g_derivs
     hm0, hm1, hm2 = problem.h_minus
@@ -148,6 +129,11 @@ LAPLACE_SUITE = [
 ]
 
 
+#: largest n the suite accepts: beyond it the smooth rows' error (~n^-2) meets
+#: quad's epsrel of 1e-13, and then quad misses the peak of width n^-1/2
+MAX_SUITE_N = 10**5
+
+
 def _quad_reference(g, h_minus, h_plus, problem, n):
     from scipy.integrate import quad  # only this self-check needs scipy
 
@@ -169,8 +155,7 @@ def run_laplace_suite(ns=(100, 1000, 10000)):
     rows = []
     for name, g, h_minus, h_plus, problem in LAPLACE_SUITE:
         smooth = problem.h_minus == problem.h_plus
-        expand = laplace_smooth if smooth else laplace_discontinuous
-        errs = [abs(expand(problem, n)["value"]
+        errs = [abs(laplace_discontinuous(problem, n)["value"]
                     / _quad_reference(g, h_minus, h_plus, problem, n) - 1.0) for n in ns]
         slope = statistics.linear_regression([math.log(n) for n in ns],
                                              [math.log(e) for e in errs]).slope

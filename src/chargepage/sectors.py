@@ -131,7 +131,7 @@ def _check_cut(n_total: int, n_a: int) -> None:
 
 def _cut_table(full: SectorTable, q_total: int, n_a: int,
                w_a: dict[int, int], w_b: dict[int, int]) -> BlockTable:
-    """One cut's table from the weight counts W(n_a) and W(N - n_a)."""
+    """One cut's table from the weight counts W(n_a) and W(N - n_a), in their q_A order."""
     su2 = full.model.group is GroupKind.SU2
     blocks = []
     for qa2, d in _dims_from_counts(full.model, w_a).items():
@@ -144,7 +144,7 @@ def _cut_table(full: SectorTable, q_total: int, n_a: int,
     total, dim = sum(d * b for _, d, b in blocks), full.dims[q_total]
     if total != dim:
         raise RuntimeError(f"block normalization broken: sum d*b = {total} != D_q = {dim}")
-    return BlockTable(full.model, full.n, n_a, q_total, tuple(sorted(blocks)), dim)
+    return BlockTable(full.model, full.n, n_a, q_total, tuple(blocks), dim)
 
 
 def block_tables(full: SectorTable, q_total: int,

@@ -321,8 +321,9 @@ def test_variance_infinite_temperature_error():
 
 def test_su2_requires_positive_density():
     for f in (Fraction(1, 4), Fraction(1, 2)):
-        with pytest.raises(ExtremalChargeError):
-            average_entropy_asymptotic(catalog("su2-trimer"), f, 0.0)
+        for s in (0.0, 1e-12, -0.2):
+            with pytest.raises(ExtremalChargeError):
+                average_entropy_asymptotic(catalog("su2-trimer"), f, s)
 
 
 def test_delta_tolerance_is_tight():

@@ -426,6 +426,8 @@ N_LIST_CASES = [
     (LAPLACE, "0", "--n-list must be >= 1, got 0"),
     (LAPLACE, "0,100", "--n-list must be >= 1, got 0"),
     (LAPLACE, "10,x", "--n-list must be a comma list of integers"),
+    (LAPLACE, "100,1000000", "--n-list must be <= 100000, got 1000000"),
+    (LAPLACE, "100,10000000", "--n-list must be <= 100000, got 10000000"),
     (CROSSCHECK, "8,x", "--n-list must be a comma list of integers, got '8,x'"),
     (CROSSCHECK, "0", "--n-list must be >= 1, got 0"),
 ]
@@ -480,7 +482,7 @@ def test_non_finite_or_non_positive_tolerance_is_a_usage_error(capsys, tol):
 
 @pytest.mark.parametrize("model, s", [("u1-qubit", "nan"), ("u1-qubit", "inf"),
                                       ("u1-qubit", "5"), ("u1-qubit", "-0.7"),
-                                      ("su2-qubit", "0")])
+                                      ("su2-qubit", "0"), ("su2-qubit", "1e-12")])
 def test_crosscheck_density_outside_the_domain_is_a_usage_error(capsys, model, s):
     # each of these used to exit 0 with every row skipped, having checked nothing
     code = main(["crosscheck", "--model", model, "--n-list", "8,12", "--f", "1/2",
@@ -511,6 +513,8 @@ def test_thermo_su2_density_below_zero_is_a_usage_error(capsys):
      "n_total = 0 must be >= 1"),
     (("exact", "--model", "u1-qubit", "--n", "5", "--na", "7", "--q", "0"),
      "n_a = 7 outside [0, 5]"),
+    (("page-curve", "--model", "su2-qubit", "--n", "64", "--s", "1e-12", "--f", "1/2"),
+     "SU2 asymptotics need charge density s > 0 with beta* < -1e-09; s = 1e-12"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     assert main(list(argv)) == EXIT_USAGE

@@ -4,8 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from chargepage.laplace import (
-    DegeneratePrefactorError, LaplaceProblem, NotAMaximumError,
-    laplace_discontinuous, laplace_smooth,
+    DegeneratePrefactorError, LaplaceProblem, NotAMaximumError, laplace_discontinuous,
 )
 
 GAUSS = LaplaceProblem(0.0, (-8.0, 8.0), (0, 0, -1, 0, 0), (1, 0, 0), (1, 0, 0))
@@ -13,8 +12,8 @@ GAUSS = LaplaceProblem(0.0, (-8.0, 8.0), (0, 0, -1, 0, 0), (1, 0, 0), (1, 0, 0))
 
 def test_pure_gaussian_has_no_correction():
     for n in (10, 100, 1000):
-        result = laplace_smooth(GAUSS, n)
-        assert result["c1"] == 0.0
+        result = laplace_discontinuous(GAUSS, n)
+        assert result["c_one"] == 0.0
         assert abs(result["value"] - math.sqrt(2 * math.pi / n)) < 1e-15
 
 
@@ -22,7 +21,7 @@ def test_cubic_tilt_correction_coefficient():
     # g = -t^2/2 + t^3/6: only the g'''^2 term of C1 survives and gives
     # -5 g'''^2 / (24 g''^3) = +5/24
     problem = LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, 0, 0), (1, 0, 0))
-    assert abs(laplace_smooth(problem, 50)["c1"] - 5 / 24) < 1e-15
+    assert abs(laplace_discontinuous(problem, 50)["c_one"] - 5 / 24) < 1e-15
 
 
 def test_smooth_error_scales_as_inverse_square():
@@ -31,17 +30,13 @@ def test_smooth_error_scales_as_inverse_square():
     problem = LaplaceProblem(0.0, (-8.0, 8.0), (0, 0, -1, 0, 0), (1, 1, 1), (1, 1, 1))
     for n in (100, 400, 1600):
         exact = math.sqrt(2 * math.pi / n) * math.exp(1 / (2 * n))
-        rel = abs(laplace_smooth(problem, n)["value"] / exact - 1)
+        rel = abs(laplace_discontinuous(problem, n)["value"] / exact - 1)
         assert abs(rel - 1 / (8 * n * n)) < 2 / n**3
 
 
 def test_continuous_prefactor_reduces_to_smooth():
     problem = LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (2, 1, 1), (2, 1, 1))
-    disc = laplace_discontinuous(problem, 250)
-    smooth = laplace_smooth(problem, 250)
-    assert disc["c_half"] == 0.0
-    assert disc["c_one"] == smooth["c1"]
-    assert disc["value"] == smooth["value"]
+    assert laplace_discontinuous(problem, 250)["c_half"] == 0.0
 
 
 def test_half_gaussian_step_prefactor():
@@ -84,12 +79,9 @@ def test_problem_validation():
 
 
 def test_degenerate_prefactors():
-    step = LaplaceProblem(0.0, (-1, 1), (0, 0, -1, 0, 0), (1, 0, 0), (2, 0, 0))
-    with pytest.raises(ValueError):
-        laplace_smooth(step, 10)
     cancel = LaplaceProblem(0.0, (-1, 1), (0, 0, -1, 0, 0), (-1, 0, 0), (1, 0, 0))
     with pytest.raises(DegeneratePrefactorError):
         laplace_discontinuous(cancel, 10)
     zero = LaplaceProblem(0.0, (-1, 1), (0, 0, -1, 0, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(DegeneratePrefactorError):
-        laplace_smooth(zero, 10)
+        laplace_discontinuous(zero, 10)
