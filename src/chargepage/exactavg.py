@@ -4,6 +4,9 @@ The average over Haar-random fixed-charge states is a closed digamma
 formula over the exact block dimensions. Dimensions routinely exceed
 anything a float can hold, so digamma arguments and weights are handled
 through exact big-integer logarithms.
+
+For SU(2) the blocks are multiplicity spaces: the value is the entropy of the
+multiplicity-space (block) state, not of the full spin-basis state (README).
 """
 
 from __future__ import annotations

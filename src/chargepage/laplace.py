@@ -149,9 +149,16 @@ def _quad_reference(g, h_minus, h_plus, problem, n):
 def run_laplace_suite(ns=(100, 1000, 10000)):
     """Error-scaling rows for the analytic suite vs adaptive quadrature.
 
-    Each row's slope is the least-squares fit of log |relative error|
-    against log n.
+    Each row's slope is the least-squares fit of log |relative error| against
+    log n. ns needs two distinct values in [1, MAX_SUITE_N], else ValueError.
     """
+    if len(set(ns)) < 2:
+        raise ValueError(f"needs at least two distinct values to fit a slope, got {list(ns)}")
+    if min(ns) < 1:
+        raise ValueError(f"must be >= 1, got {min(ns)}")
+    if max(ns) > MAX_SUITE_N:
+        raise ValueError(f"must be <= {MAX_SUITE_N}, got {max(ns)}: beyond it "
+                         "the quadrature reference cannot resolve the error")
     rows = []
     for name, g, h_minus, h_plus, problem in LAPLACE_SUITE:
         smooth = problem.h_minus == problem.h_plus

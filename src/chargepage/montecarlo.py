@@ -8,7 +8,8 @@ bidiagonal matrix with diagonal chi_{2M}, ..., chi_{2(M-m+1)} and
 subdiagonal chi_{2(m-1)}, ..., chi_2, and tr T has the law of the block's
 squared norm (the beta = 2 Laguerre model of Dumitriu & Edelman, J. Math.
 Phys. 43, 5830 (2002)). A rank-1 block is one chi^2_{2M} weight. Blocks of
-one (m, M) shape share one batched eigensolve. No amplitude is drawn.
+one (m, M) shape share one batched eigensolve. No amplitude is drawn. For SU(2)
+the entropy is that of the multiplicity-space (block) state, as in exactavg.
 
 Samples come in chunks of CHUNK. Chunk c draws all its variates, row by row,
 from a generator keyed by (seed, c) before any eigensolve. So the numbers do

@@ -29,10 +29,11 @@ class DegenerateModelError(ValueError):
 
 @dataclass(frozen=True)
 class ChargeDistribution:
-    """Gibbs distribution over local weights, keyed by doubled weight."""
+    """Gibbs distribution over local weights, keyed by doubled weight, and log Z(beta)."""
 
     probs: dict[int, float]
     beta: float
+    log_z: float
 
     def mean(self) -> float:
         return math.fsum(0.5 * m2 * p for m2, p in self.probs.items())
@@ -54,26 +55,20 @@ class ThermoPoint:
     alpha0: float
 
 
-def _shifted_weights(model: ChargeModel, beta: float) -> tuple[float, dict[int, float]]:
-    """Shift and rescaled Boltzmann weights a_m exp(-beta m - shift).
-
-    The shift is the largest exponent, so no term overflows for finite beta.
-    """
-    weights = weight_multiplicities(model)
-    shift = max(-beta * 0.5 * m2 for m2 in weights)
-    return shift, {m2: a * math.exp(-beta * 0.5 * m2 - shift) for m2, a in weights.items()}
-
-
 def gibbs(model: ChargeModel, beta: float) -> ChargeDistribution:
     """Max-entropy distribution p(m) ~ a_m exp(-beta m) over local weights.
 
-    Overflow-safe for any finite beta via max-weight rescaling.
+    Overflow-safe for any finite beta: the weights are rescaled by the largest
+    exponent, the shift, and log Z is the shift plus the log of their sum.
     """
     if not math.isfinite(beta):
         raise ValueError(f"beta = {beta} must be finite")
-    _, raw = _shifted_weights(model, beta)
+    weights = weight_multiplicities(model)
+    shift = max(-beta * 0.5 * m2 for m2 in weights)
+    raw = {m2: a * math.exp(-beta * 0.5 * m2 - shift) for m2, a in weights.items()}
     z = math.fsum(raw.values())
-    return ChargeDistribution({m2: r / z for m2, r in raw.items()}, beta)
+    return ChargeDistribution({m2: r / z for m2, r in raw.items()}, beta,
+                              shift + math.log(z))
 
 
 def density_interval(model: ChargeModel) -> tuple[float, float]:
@@ -153,8 +148,7 @@ def thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
     )
     eta_kl = math.log(k) - kl
     # route (b): Legendre form log Z(beta) + beta * s
-    shift, raw = _shifted_weights(model, beta)
-    eta_legendre = shift + math.log(math.fsum(raw.values())) + beta * s
+    eta_legendre = dist.log_z + beta * s
     if abs(eta_kl - eta_legendre) > 1e-10 * max(1.0, abs(eta_legendre)):
         raise RuntimeError(
             f"eta routes disagree: KL form {eta_kl} vs Legendre form {eta_legendre}"

@@ -28,6 +28,9 @@ def parse_csv(text):
     meta_lines = [ln for ln in text.splitlines() if ln.startswith("# meta: ")]
     meta = json.loads(meta_lines[0][len("# meta: "):]) if meta_lines else {}
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
+    # DictReader files surplus cells under the key None and fills missing ones with None
+    for row in rows:
+        assert None not in row and None not in row.values(), f"malformed csv row {row}"
     return meta, rows
 
 
@@ -357,6 +360,15 @@ def test_crosscheck_skips_infeasible(capsys):
     _, rows = parse_csv(out)
     assert [row["status"] for row in rows] == ["skipped", "pass"]
     assert float(rows[0]["s_snapped"]) == 0.0 and "s > 0" in rows[0]["reason"]
+    # a reason holding commas stays one quoted cell
+    code, out = invoke(capsys, "crosscheck", "--model", "u1-qubit",
+                       "--n-list", "2,8", "--f", "1/2", "--s", "0.45",
+                       "--samples", "300")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row["status"] for row in rows] == ["skipped", "skipped"]
+    assert all(row["reason"] == "s = 0.5 outside open density interval (-0.5, 0.5); "
+               "beta* diverges" for row in rows)
 
 
 def test_failed_verification_exits_one(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names, \
@@ -45,6 +46,17 @@ def test_gibbs_survives_extreme_beta():
             assert all(math.isfinite(p) for p in dist.probs.values())
     with pytest.raises(ValueError):
         gibbs(catalog("u1-qubit"), math.inf)
+
+
+def test_gibbs_log_z_matches_mpmath_log_sum_exp():
+    for name in catalog_names():
+        model = catalog(name)
+        for beta in (-800.0, -1.0, 0.0, 1.0, 800.0):
+            with mpmath.workdps(50):
+                ref = float(mpmath.log(mpmath.fsum(
+                    a * mpmath.exp(-mpmath.mpf(beta) * m2 / 2)
+                    for m2, a in weight_multiplicities(model).items())))
+            assert abs(gibbs(model, beta).log_z - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
 def test_gibbs_mean_strictly_decreasing_in_beta():
