@@ -20,7 +20,7 @@ from .thermo import (
 from .asymptotics import (
     EntropyEstimate, Regime, SubsystemChargeDistribution, VarianceAsymptotics,
     asymptotic_log_dim, average_entropy_asymptotic, charge_density_moments,
-    entropy_term_breakdown, subsystem_charge_distribution, variance_asymptotic,
+    subsystem_charge_distribution, variance_asymptotic,
 )
 from .laplace import LaplaceProblem, laplace_discontinuous
 from .exactavg import ExactAverage, block_average_entropy, exact_average_entropy
@@ -39,8 +39,7 @@ __all__ = [
     "EntropyEstimate", "LaplaceProblem", "Regime",
     "SubsystemChargeDistribution", "VarianceAsymptotics",
     "asymptotic_log_dim", "average_entropy_asymptotic",
-    "charge_density_moments", "entropy_term_breakdown",
-    "laplace_discontinuous",
+    "charge_density_moments", "laplace_discontinuous",
     "subsystem_charge_distribution", "variance_asymptotic",
     "ExactAverage", "block_average_entropy", "exact_average_entropy",
     "McConfig", "McRun", "run",

@@ -10,7 +10,7 @@ expansion; it carries log(step), step being the charge-lattice spacing, and
 y2 carries -log(step).
 
 All exponentially large quantities are handled in log domain; estimates
-store coefficients of N, sqrt(N), and N^0, never an evaluated exp(N eta).
+store coefficients of N, sqrt(N), log N and N^0, never an evaluated exp(N eta).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "ExtremalChargeError", "InfiniteTemperatureVarianceError",
     "asymptotic_log_dim", "charge_density_moments", "checked_thermo_point",
     "average_entropy_asymptotic", "estimate_at_point", "variance_asymptotic",
-    "entropy_term_breakdown", "breakdown_at_point", "subsystem_charge_distribution",
+    "subsystem_charge_distribution",
     "DELTA_TOLERANCE",
 ]
 
@@ -54,20 +54,6 @@ class Regime(Enum):
 
 
 @dataclass(frozen=True)
-class EntropyEstimate:
-    """Average entanglement entropy split into N, sqrt(N) and N^0 coefficients."""
-
-    regime: Regime
-    term_N: float
-    term_sqrtN: float
-    term_O1: float
-    includes_delta: bool
-
-    def total(self, n: float) -> float:
-        return self.term_N * n + self.term_sqrtN * math.sqrt(n) + self.term_O1
-
-
-@dataclass(frozen=True)
 class AsymptoticTerms:
     """One contribution to the entropy, including its (1/2) log N piece."""
 
@@ -75,6 +61,40 @@ class AsymptoticTerms:
     term_sqrtN: float
     term_logN: float
     term_O1: float
+
+
+@dataclass(frozen=True)
+class EntropyEstimate:
+    """Average entanglement entropy y1 + y2 + y3, each expanded in N.
+
+    The (1/2) log N pieces of y1 and y2 cancel in the sum, and so do their
+    log(step) pieces; y3 is zero except at f = 1/2 and infinite-temperature
+    density.
+    """
+
+    regime: Regime
+    y1: AsymptoticTerms
+    y2: AsymptoticTerms
+    y3: AsymptoticTerms
+
+    @property
+    def term_N(self) -> float:
+        return self.y1.term_N + self.y2.term_N + self.y3.term_N
+
+    @property
+    def term_sqrtN(self) -> float:
+        return self.y1.term_sqrtN + self.y2.term_sqrtN + self.y3.term_sqrtN
+
+    @property
+    def term_O1(self) -> float:
+        return self.y1.term_O1 + self.y2.term_O1 + self.y3.term_O1
+
+    @property
+    def includes_delta(self) -> bool:
+        return self.y3.term_O1 != 0.0
+
+    def total(self, n: float) -> float:
+        return self.term_N * n + self.term_sqrtN * math.sqrt(n) + self.term_O1
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,6 @@ class VarianceAsymptotics:
 class SubsystemChargeDistribution:
     """Exact finite-N distribution of the subsystem charge density t = q_A/N_A."""
 
-    q_total: int
     support: tuple[tuple[float, float], ...]
 
     def mean(self) -> float:
@@ -182,19 +201,20 @@ def charge_density_moments(model: ChargeModel, f, s: float) -> dict:
     return {"mean_shift": _dlog_alpha0(tp, model.group, tp.eta_pp * v), "variance": v}
 
 
-def entropy_term_breakdown(model: ChargeModel, f, s: float) -> dict:
-    """The three contributions to the average entropy, separately expanded.
+def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstimate:
+    """Average entanglement entropy of the fraction-f subsystem at density s.
 
-    The (1/2) log N pieces of the first two cancel in the sum, and so do
-    their log(step) pieces; the third is zero except at f = 1/2 and
-    infinite-temperature density.
+    Leading order is extensive with coefficient eta(s) up to half-system
+    size and mirrored beyond; at f = 1/2 exactly, a negative sqrt(N) term
+    with coefficient sqrt(c*/2 pi) appears, replaced by the -1/2-type delta
+    term at the infinite-temperature density.
     """
     frac = _as_fraction(f)
-    return breakdown_at_point(checked_thermo_point(model, s), model, frac)
+    return estimate_at_point(checked_thermo_point(model, s), model, frac)
 
 
-def breakdown_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> dict:
-    """``entropy_term_breakdown`` from a solved point and a fraction in (0, 1)."""
+def estimate_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> EntropyEstimate:
+    """``average_entropy_asymptotic`` from a solved point and a fraction in (0, 1)."""
     regime = _regime(frac)
     ff = float(frac)
     log_density = _sector_log_density(model, tp)
@@ -213,33 +233,9 @@ def breakdown_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> d
     else:
         y2_n = -ff * tp.eta
         y2_o1 = (math.log(ff) + 1 - ff) / 2 + (1 - ff) * slope - log_a0
-    return {"y1": _log_dim_terms(model, tp),
-            "y2": AsymptoticTerms(y2_n, sqrt_term, 0.5, y2_o1 - log_density),
-            "y3": AsymptoticTerms(0.0, 0.0, 0.0, y3_o1)}
-
-
-def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstimate:
-    """Average entanglement entropy of the fraction-f subsystem at density s.
-
-    Leading order is extensive with coefficient eta(s) up to half-system
-    size and mirrored beyond; at f = 1/2 exactly, a negative sqrt(N) term
-    with coefficient sqrt(c*/2 pi) appears, replaced by the -1/2-type delta
-    term at the infinite-temperature density. The sum of the three terms of
-    ``entropy_term_breakdown``, whose (1/2) log N pieces cancel.
-    """
-    frac = _as_fraction(f)
-    return estimate_at_point(checked_thermo_point(model, s), model, frac)
-
-
-def estimate_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> EntropyEstimate:
-    """``average_entropy_asymptotic`` from a solved point and a fraction in (0, 1)."""
-    parts = breakdown_at_point(tp, model, frac)
-    terms = parts.values()
-    return EntropyEstimate(_regime(frac),
-                           sum(t.term_N for t in terms),
-                           sum(t.term_sqrtN for t in terms),
-                           sum(t.term_O1 for t in terms),
-                           includes_delta=parts["y3"].term_O1 != 0.0)
+    return EntropyEstimate(regime, _log_dim_terms(model, tp),
+                           AsymptoticTerms(y2_n, sqrt_term, 0.5, y2_o1 - log_density),
+                           AsymptoticTerms(0.0, 0.0, 0.0, y3_o1))
 
 
 def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:
@@ -269,4 +265,4 @@ def subsystem_charge_distribution(model: ChargeModel, n_total: int, n_a: int,
         (qa2 / (2.0 * n_a), float(Fraction(d * b, total)))
         for qa2, d, b in table.blocks
     )
-    return SubsystemChargeDistribution(q_total, support)
+    return SubsystemChargeDistribution(support)

@@ -30,7 +30,7 @@ from .sectors import block_table, block_tables, sector_dims
 from .thermo import catalog_closed_forms, density_interval, thermo_point
 from .asymptotics import Regime, average_entropy_asymptotic, \
     checked_thermo_point, estimate_at_point
-from .exactavg import block_average_entropy, exact_average_entropy
+from .exactavg import ENTROPY, block_average_entropy, exact_average_entropy
 from .laplace import run_laplace_suite
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
@@ -140,7 +140,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_thermo(args) -> int:
-    _require("--grid", args.grid, 1)
+    size = 99 if args.grid is None else args.grid
+    _require("--grid", size, 1)
     model = _resolve_model(args)
     lo, hi = density_interval(model)
     if model.group is GroupKind.SU2:
@@ -151,7 +152,7 @@ def cmd_thermo(args) -> int:
         grid = [args.s]
     else:
         span = hi - lo
-        grid = [lo + i * span / (args.grid + 1) for i in range(1, args.grid + 1)]
+        grid = [lo + i * span / (size + 1) for i in range(1, size + 1)]
     rows = []
     for s in grid:
         tp = thermo_point(model, s)
@@ -182,7 +183,7 @@ def _page_rows(model, n, s, fractions, want_exact):
             exact = {table.n_a: block_average_entropy(table).value
                      for table in block_tables(full, q2, inner)}
         bodies = inner | {n - n_a for n_a in inner}
-        meta = {"q_snapped": None if q2 is None else charge_str(q2),
+        meta = {"entropy": ENTROPY, "q_snapped": None if q2 is None else charge_str(q2),
                 "distinct_cuts": len(inner),
                 "convolutions": len(bodies) + 1 if bodies else 0}
     rows = []
@@ -241,13 +242,14 @@ def _plot_svg(rows, path, n):
 
 
 def cmd_page_curve(args) -> int:
+    points = 19 if args.points is None else args.points
     _require("--n", args.n, 0)
-    _require("--points", args.points, 1)
+    _require("--points", points, 1)
     model = _resolve_model(args)
     if args.f:
         fractions = [_parse_fraction(tok) for tok in args.f.split(",")]
     else:
-        fractions = [Fraction(i, args.points + 1) for i in range(1, args.points + 1)]
+        fractions = [Fraction(i, points + 1) for i in range(1, points + 1)]
     rows, exact_meta = _page_rows(model, args.n, args.s, fractions, args.exact)
     meta = {"command": "page-curve", "model": model.as_dict(), "n": args.n,
             "s": args.s, **exact_meta}
@@ -266,7 +268,7 @@ def cmd_exact(args) -> int:
         "value": res.value, "y1": res.y1, "y2": res.y2, "y3": res.y3,
         "degenerate": res.degenerate,
     }]
-    _emit(rows, {"command": "exact", "model": model.as_dict()}, args)
+    _emit(rows, {"command": "exact", "model": model.as_dict(), "entropy": ENTROPY}, args)
     return EXIT_OK
 
 
@@ -275,7 +277,8 @@ def cmd_mc(args) -> int:
     q2 = _parse_charge(args.q)
     config = McConfig(model, args.n, args.na, q2, args.samples, args.seed)
     result = mc_run(config)
-    meta = {"command": "mc", "model": model.as_dict(), "seed": args.seed, **result.plan}
+    meta = {"command": "mc", "model": model.as_dict(), "entropy": ENTROPY, "seed": args.seed,
+            **result.plan}
     rows = [{
         "n": args.n, "n_a": args.na, "q": charge_str(q2),
         "samples": args.samples, "seed": args.seed,
@@ -367,10 +370,11 @@ def cmd_laplace_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--model", help="builtin model name "
-                     f"({', '.join(catalog_names())})")
-    sub.add_argument("--model-file", help="path to a JSON model config")
+def _add_common(sub, model=True):
+    if model:
+        sub.add_argument("--model", help="builtin model name "
+                         f"({', '.join(catalog_names())})")
+        sub.add_argument("--model-file", help="path to a JSON model config")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (default: stdout)")
 
@@ -399,9 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("thermo", help="local thermodynamics at density s")
     _add_common(p)
-    p.add_argument("--s", type=float, help="single charge density")
-    p.add_argument("--grid", type=int, default=99,
-                   help="interior grid size when --s is absent")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--s", type=float, help="single charge density")
+    grid.add_argument("--grid", type=int, help="interior grid size (default 99)")
     p.add_argument("--closed-form", action="store_true",
                    help="add the catalog closed-form eta column")
     p.set_defaults(func=cmd_thermo)
@@ -410,9 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--points", type=int, default=19,
-                   help="interior f-grid size (default 19)")
-    p.add_argument("--f", help="comma list of fractions, e.g. 1/4,1/2,3/4")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--points", type=int, help="interior f-grid size (default 19)")
+    grid.add_argument("--f", help="comma list of fractions, e.g. 1/4,1/2,3/4")
     p.add_argument("--exact", action="store_true",
                    help="add exact values at the nearest integer cuts")
     p.add_argument("--plot", help="write a standalone SVG line plot here")
@@ -449,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("laplace-check",
                         help="error scaling of the Laplace toolkit vs quadrature")
-    _add_common(p)
+    _add_common(p, model=False)
     p.add_argument("--n-list", default="100,1000,10000")
     p.set_defaults(func=cmd_laplace_check)
     return parser

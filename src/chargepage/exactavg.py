@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from .models import ChargeModel
 from .sectors import BlockTable, block_table, sector_dims
 
+#: the state whose entropy is averaged, as the output metadata names it; for
+#: U(1) the multiplicity space is the spin basis and the two entropies agree
+ENTROPY = "multiplicity-space"
+
 # asymptotic tail: psi(x) = log x - 1/(2x) - sum c_k / x^(2k), valid for x >= 10
 _TAIL_COEFFS = (
     1.0 / 12.0,
@@ -64,7 +68,6 @@ class ExactAverage:
     y1: float
     y2: float
     y3: float
-    q_total: int
     degenerate: bool = False
 
 
@@ -82,7 +85,7 @@ def exact_average_entropy(model: ChargeModel, n_total: int, n_a: int,
         raise ValueError(f"n_a = {n_a} outside [0, {n_total}]")
     if n_a in (0, n_total):
         sector_dims(model, n_total).dimension(q_total)  # rejects an unrealizable charge
-        return ExactAverage(0.0, 0.0, 0.0, 0.0, q_total, degenerate=True)
+        return ExactAverage(0.0, 0.0, 0.0, 0.0, degenerate=True)
     return block_average_entropy(block_table(model, n_total, n_a, q_total))
 
 
@@ -108,4 +111,4 @@ def block_average_entropy(table: BlockTable) -> ExactAverage:
         y3_terms.append(-0.5 * math.exp(-abs(log_d - log_b)) * weight)
     y2 = math.fsum(y2_terms)
     y3 = math.fsum(y3_terms)
-    return ExactAverage(y1 + y2 + y3, y1, y2, y3, table.q_total)
+    return ExactAverage(y1 + y2 + y3, y1, y2, y3)

@@ -72,7 +72,6 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McRun:
-    config: McConfig
     entropies: np.ndarray
     mean: float
     std_error: float
@@ -170,5 +169,5 @@ def run(config: McConfig) -> McRun:
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "max_min_dim": groups[-1][0][0], "workers": workers,
             "batch_bytes": workers * (draw_bytes + batch * row_bytes)}
-    return McRun(config, entropies, float(np.mean(entropies)),
+    return McRun(entropies, float(np.mean(entropies)),
                  math.sqrt(var / config.samples), var, plan)

@@ -51,12 +51,6 @@ class SectorTable:
             )
         return self.dims[q_total]
 
-    def total_dimension(self) -> int:
-        """Recombine sectors: equals k^n exactly."""
-        if self.model.group is GroupKind.U1:
-            return sum(self.dims.values())
-        return sum((j2 + 1) * d for j2, d in self.dims.items())
-
 
 @dataclass(frozen=True)
 class BlockTable:

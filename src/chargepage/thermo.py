@@ -32,7 +32,6 @@ class ChargeDistribution:
     """Gibbs distribution over local weights, keyed by doubled weight, and log Z(beta)."""
 
     probs: dict[int, float]
-    beta: float
     log_z: float
 
     def mean(self) -> float:
@@ -67,8 +66,7 @@ def gibbs(model: ChargeModel, beta: float) -> ChargeDistribution:
     shift = max(-beta * 0.5 * m2 for m2 in weights)
     raw = {m2: a * math.exp(-beta * 0.5 * m2 - shift) for m2, a in weights.items()}
     z = math.fsum(raw.values())
-    return ChargeDistribution({m2: r / z for m2, r in raw.items()}, beta,
-                              shift + math.log(z))
+    return ChargeDistribution({m2: r / z for m2, r in raw.items()}, shift + math.log(z))
 
 
 def density_interval(model: ChargeModel) -> tuple[float, float]:
@@ -78,10 +76,8 @@ def density_interval(model: ChargeModel) -> tuple[float, float]:
 
 
 def infinite_temperature_density(model: ChargeModel) -> float:
-    """Mean charge at beta = 0: the density where eta'(s) vanishes."""
-    weights = weight_multiplicities(model)
-    k = sum(weights.values())
-    return sum(0.5 * m2 * a for m2, a in weights.items()) / k
+    """Mean charge at beta = 0, where eta'(s) vanishes and ``solve_beta_star`` is 0.0."""
+    return gibbs(model, 0.0).mean()
 
 
 def _check_density(model: ChargeModel, s: float) -> None:

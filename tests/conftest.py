@@ -7,7 +7,10 @@ weight-space invariant count. Larger sizes use a body-by-body convolution
 (the library uses Miller's recurrence) and the explicit triangle-rule
 double loop over complement spins (the library telescopes it). The Monte
 Carlo oracle draws every complex amplitude of the sector and takes an SVD
-per block, where the library only draws each block's Schmidt spectrum.
+per block, where the library only draws each block's Schmidt spectrum. The
+full-space oracle uses no block table at all: it projects Haar states of the
+whole k^n tensor space onto a sector and cuts them as a k^n_A x k^(n - n_A)
+matrix in the spin basis.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from chargepage.models import ChargeModel, GroupKind, weight_multiplicities
 
@@ -33,6 +37,13 @@ def random_small_models():
         lambda m: sum((j2 + 1) * a for j2, a in m.items()) >= 2
     ).map(lambda m: ChargeModel(GroupKind.SU2, m))
     return st.one_of(u1, su2)
+
+
+def total_dimension(table) -> int:
+    """Recombine the sectors of a ``SectorTable``: equals k^n exactly."""
+    if table.model.group is GroupKind.U1:
+        return sum(table.dims.values())
+    return sum((j2 + 1) * d for j2, d in table.dims.items())
 
 
 def body_weight_list(model: ChargeModel) -> list[int]:
@@ -157,3 +168,56 @@ def dense_entropies(table, rng: np.random.Generator, samples: int) -> np.ndarray
     p = dense_schmidt_weights(table, dense_amplitudes(table, rng, samples))
     p /= p.sum(axis=1, keepdims=True)
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
+def _site_sum(local: np.ndarray, n: int) -> np.ndarray:
+    """sum_i 1 x ... x local (at site i) x ... x 1 over n sites, site 0 leftmost."""
+    k = len(local)
+    return sum(np.kron(np.kron(np.eye(k**i), local), np.eye(k ** (n - 1 - i)))
+               for i in range(n))
+
+
+def full_space_sector_basis(model: ChargeModel, n: int, q2: int) -> np.ndarray:
+    """Orthonormal columns spanning one sector inside the k^n tensor space.
+
+    U(1): the basis strings of total doubled charge q2. SU(2): the
+    highest-weight states of spin j = q2/2, the kernel of the total raising
+    operator S+ among the strings of doubled S_z = q2.
+    """
+    if model.group is GroupKind.U1:
+        charge = np.diag(_site_sum(np.diag(body_weight_list(model)), n))
+        return np.eye(len(charge))[:, charge == q2]
+    m2, raising = [], np.zeros((model.local_dim, model.local_dim))
+    for j2, a in model.multiplicities:
+        for _ in range(a):
+            ms = np.arange(j2, -j2 - 1, -2)  # doubled m of one irrep, from m = j down
+            i = len(m2) + np.arange(1, j2 + 1)
+            # S+ |j m> = sqrt(j(j+1) - m(m+1)) |j m+1>; in doubled units
+            raising[i - 1, i] = np.sqrt((j2 - ms[1:]) * (j2 + ms[1:] + 2)) / 2
+            m2.extend(ms)
+    in_sector = np.diag(_site_sum(np.diag(m2), n)) == q2
+    kernel = null_space(_site_sum(raising, n)[:, in_sector])
+    basis = np.zeros((model.local_dim**n, kernel.shape[1]))
+    basis[in_sector] = kernel
+    return basis
+
+
+def full_space_entropies(model: ChargeModel, n: int, n_a: int, q2: int,
+                         rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Spin-basis entanglement entropies of the first n_a sites, one per state.
+
+    Each state is a complex Gaussian vector of the whole tensor space (a Haar
+    state up to its norm) projected onto the sector; the entropy ignores the
+    norm.
+    """
+    basis = full_space_sector_basis(model, n, q2)
+    k = model.local_dim
+    out = []
+    for rows in np.array_split(np.arange(samples), max(1, samples // 2000)):
+        g = rng.standard_normal((len(rows), 2 * k**n)).view(np.complex128)
+        psi = (g @ basis) @ basis.T
+        p = np.linalg.svd(psi.reshape(len(rows), k**n_a, k ** (n - n_a)),
+                          compute_uv=False) ** 2
+        p /= p.sum(axis=1, keepdims=True)
+        out.append(-(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1))
+    return np.concatenate(out)

@@ -1,4 +1,5 @@
-"""The benchmark's worker times library functions by name; they must exist."""
+"""Names looked up by string must exist: the functions the benchmark's worker
+times, and every entry of the package's export lists."""
 
 import importlib
 import importlib.util
@@ -20,3 +21,11 @@ def test_every_traced_name_resolves_in_chargepage():
     for mod_name, fn_name in traced:
         module = importlib.import_module(f"chargepage.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"chargepage.{mod_name}.{fn_name}"
+
+
+def test_every_exported_name_resolves():
+    # a removed name must leave no dangling entry in an __all__
+    for mod_name in ("chargepage", "chargepage.asymptotics"):
+        module = importlib.import_module(mod_name)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{mod_name}.{name}"

@@ -646,3 +646,36 @@ def test_laplace_check_quick(capsys):
     _, rows = parse_csv(out)
     assert len(rows) == 10
     assert all(row["status"] == "pass" for row in rows)
+
+
+# each of these exited 0 having ignored an option it had accepted; argparse
+# counts an option equal to its default as absent, hence the default values
+IGNORED_OPTIONS = [
+    ("laplace-check", "--model", "nope", "--model-file", "/nonexistent/x.json"),
+    ("page-curve", "--model", "u1-qubit", "--n", "16", "--s", "0.1", "--points", "5",
+     "--f", "1/2"),
+    ("page-curve", "--model", "u1-qubit", "--n", "16", "--s", "0.1", "--points", "19",
+     "--f", "1/2"),
+    ("thermo", "--model", "u1-qubit", "--grid", "7", "--s", "0.1"),
+    ("thermo", "--model", "u1-qubit", "--grid", "99", "--s", "0.1"),
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=[
+    "laplace-check-model", "points-and-f", "default-points-and-f", "grid-and-s",
+    "default-grid-and-s"])
+def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_exact_routes_name_the_entropy_in_their_meta(capsys):
+    model = ("--model", "su2-qubit", "--format", "json")
+    for argv in (("exact", "--n", "6", "--na", "3", "--q", "0"),
+                 ("mc", "--n", "6", "--na", "3", "--q", "0", "--samples", "20"),
+                 ("page-curve", "--n", "8", "--s", "0.25", "--f", "1/2", "--exact")):
+        code, out = invoke(capsys, *argv, *model)
+        assert code == 0
+        assert json.loads(out)["meta"]["entropy"] == "multiplicity-space"

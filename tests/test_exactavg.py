@@ -1,12 +1,16 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from chargepage.models import catalog, catalog_names
-from chargepage.sectors import EmptySectorError, realizable_charges, sector_dims
+from chargepage.sectors import EmptySectorError, block_table, realizable_charges, \
+    sector_dims
 from chargepage.exactavg import digamma_of_big_plus_one, exact_average_entropy
 from chargepage.montecarlo import McConfig, run
+
+from conftest import full_space_entropies
 
 
 def test_digamma_big_argument_paths():
@@ -113,3 +117,30 @@ def test_mean_matches_monte_carlo_on_small_sectors():
         exact = exact_average_entropy(model, n, n_a, q2).value
         mc = run(McConfig(model, n, n_a, q2, 10**6, 314159))
         assert abs(mc.mean - exact) < 4 * mc.std_error
+
+
+# Six full-space checks at 20k samples and |z| < 4: a false failure has
+# probability 6.3e-5 each, about 4e-4 over the six.
+def _full_space_z(model, n, n_a, q2, expected):
+    entropies = full_space_entropies(model, n, n_a, q2, np.random.default_rng(7), 20000)
+    return (entropies.mean() - expected) / (entropies.std(ddof=1) / math.sqrt(len(entropies)))
+
+
+@pytest.mark.parametrize("n, n_a, q2", [(6, 3, 0), (8, 3, 0), (8, 4, -2)])
+def test_u1_exact_average_is_the_full_space_haar_average(n, n_a, q2):
+    # for U(1) the blocks are spin-basis blocks: the two entropies are one
+    model = catalog("u1-qubit")
+    assert abs(_full_space_z(model, n, n_a, q2,
+                             exact_average_entropy(model, n, n_a, q2).value)) < 4
+
+
+@pytest.mark.parametrize("n, n_a", [(4, 2), (6, 2), (6, 3)])
+def test_su2_singlet_full_space_average_adds_the_spin_entropy(n, n_a):
+    # a singlet pairs spin j_A of A with spin j_A of the rest maximally, so the
+    # spin-basis entropy is the multiplicity-space one plus log(2 j_A + 1),
+    # averaged over the block weights d*b/D
+    model = catalog("su2-qubit")
+    table = block_table(model, n, n_a, 0)
+    spin = math.fsum(d * b * math.log(qa2 + 1) for qa2, d, b in table.blocks)
+    expected = exact_average_entropy(model, n, n_a, 0).value + spin / table.sector_dimension
+    assert abs(_full_space_z(model, n, n_a, 0, expected)) < 4

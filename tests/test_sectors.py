@@ -11,7 +11,8 @@ from chargepage.sectors import (
 
 from conftest import (
     brute_force_u1_blocks, brute_force_u1_counts, convolution_weight_counts,
-    ladder_su2_dims, random_small_models, su2_weight_space_b, triangle_blocks,
+    ladder_su2_dims, random_small_models, su2_weight_space_b, total_dimension,
+    triangle_blocks,
 )
 
 
@@ -85,7 +86,7 @@ def test_su2_completeness_identity():
     for name in catalog_names():  # the U(1) models recombine without the 2j + 1
         model = catalog(name)
         for n in range(1, 15):
-            assert sector_dims(model, n).total_dimension() == model.local_dim**n
+            assert total_dimension(sector_dims(model, n)) == model.local_dim**n
 
 
 def test_block_table_u1_qubit_example():
@@ -241,7 +242,7 @@ def test_serialization_decimal_strings():
     # entries exceed 64-bit range and must survive a text round trip
     model = catalog("su2-trimer")
     table = sector_dims(model, 30)
-    assert table.total_dimension() == 8**30
+    assert total_dimension(table) == 8**30
     biggest = max(table.dims.values())
     assert biggest > 2**63
     assert int(str(biggest)) == biggest

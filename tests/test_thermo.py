@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
 
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names, \
     weight_multiplicities
@@ -10,6 +11,8 @@ from chargepage.thermo import (
     density_interval, gibbs, infinite_temperature_density, solve_beta_star,
     thermo_point,
 )
+
+from conftest import random_small_models
 
 
 def interior_grid(name, points=25):
@@ -87,6 +90,16 @@ def test_beta_star_vanishes_at_infinite_temperature_density():
         s_ast = infinite_temperature_density(model)
         # the first bisection midpoint, beta = 0, has mean exactly s*
         assert solve_beta_star(model, s_ast) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=random_small_models())
+# here sum(m a) / k is one ulp above the Gibbs mean 5/6
+@example(model=ChargeModel(GroupKind.U1, {-1: 2, 2: 2, 4: 2}))
+def test_beta_star_vanishes_at_infinite_temperature_density_of_custom_models(model):
+    lo, hi = density_interval(model)
+    assume(lo < hi)
+    assert solve_beta_star(model, infinite_temperature_density(model)) == 0.0
 
 
 def test_beta_star_round_trip_mean():
