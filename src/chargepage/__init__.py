@@ -14,13 +14,12 @@ from .sectors import (
     sector_dims, weight_counts,
 )
 from .thermo import (
-    ChargeDistribution, ThermoPoint, catalog_closed_forms, density_interval,
-    gibbs, infinite_temperature_density, solve_beta_star, thermo_point,
+    ChargeDistribution, ThermoPoint, density_interval, gibbs,
+    infinite_temperature_density, solve_beta_star, thermo_point,
 )
 from .asymptotics import (
-    EntropyEstimate, Regime, SubsystemChargeDistribution, VarianceAsymptotics,
-    asymptotic_log_dim, average_entropy_asymptotic, charge_density_moments,
-    subsystem_charge_distribution, variance_asymptotic,
+    EntropyEstimate, Regime, VarianceAsymptotics, asymptotic_log_dim,
+    average_entropy_asymptotic, charge_density_moments, variance_asymptotic,
 )
 from .laplace import LaplaceProblem, laplace_discontinuous
 from .exactavg import ExactAverage, block_average_entropy, exact_average_entropy
@@ -33,14 +32,11 @@ __all__ = [
     "load_model", "weight_multiplicities",
     "BlockTable", "SectorTable", "block_table", "block_tables",
     "realizable_charges", "sector_dims", "weight_counts",
-    "ChargeDistribution", "ThermoPoint", "catalog_closed_forms",
-    "density_interval", "gibbs", "infinite_temperature_density",
-    "solve_beta_star", "thermo_point",
-    "EntropyEstimate", "LaplaceProblem", "Regime",
-    "SubsystemChargeDistribution", "VarianceAsymptotics",
+    "ChargeDistribution", "ThermoPoint", "density_interval", "gibbs",
+    "infinite_temperature_density", "solve_beta_star", "thermo_point",
+    "EntropyEstimate", "LaplaceProblem", "Regime", "VarianceAsymptotics",
     "asymptotic_log_dim", "average_entropy_asymptotic",
-    "charge_density_moments", "laplace_discontinuous",
-    "subsystem_charge_distribution", "variance_asymptotic",
+    "charge_density_moments", "laplace_discontinuous", "variance_asymptotic",
     "ExactAverage", "block_average_entropy", "exact_average_entropy",
     "McConfig", "McRun", "run",
     "__version__",

@@ -1,7 +1,7 @@
 """Thermodynamic-limit formulas for fixed-charge random states.
 
-Asymptotic sector dimensions, the subsystem charge distribution and its
-moments, the average entanglement entropy in the three subsystem-fraction
+Asymptotic sector dimensions, the leading moments of the subsystem charge
+density, the average entanglement entropy in the three subsystem-fraction
 regimes (with the group prefactor alpha0 sourcing the U(1)/SU(2)
 difference), and the exponentially suppressed variance.
 
@@ -21,16 +21,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .models import ChargeModel, GroupKind, lattice_step
-from .sectors import block_table
 from .thermo import ThermoPoint, thermo_point
 
 __all__ = [
     "Regime", "EntropyEstimate", "AsymptoticTerms", "VarianceAsymptotics",
-    "SubsystemChargeDistribution",
     "ExtremalChargeError", "InfiniteTemperatureVarianceError",
     "asymptotic_log_dim", "charge_density_moments", "checked_thermo_point",
     "average_entropy_asymptotic", "estimate_at_point", "variance_asymptotic",
-    "subsystem_charge_distribution",
     "DELTA_TOLERANCE",
 ]
 
@@ -106,19 +103,6 @@ class VarianceAsymptotics:
 
     def log_variance(self, n: float) -> float:
         return self.log_coefficient + 1.5 * math.log(n) - n * self.rate
-
-
-@dataclass(frozen=True)
-class SubsystemChargeDistribution:
-    """Exact finite-N distribution of the subsystem charge density t = q_A/N_A."""
-
-    support: tuple[tuple[float, float], ...]
-
-    def mean(self) -> float:
-        return math.fsum(t * p for t, p in self.support)
-
-    def central_moment(self, center: float, k: int) -> float:
-        return math.fsum(p * (t - center) ** k for t, p in self.support)
 
 
 def _as_fraction(f) -> Fraction:
@@ -255,14 +239,3 @@ def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:
                  - math.log(tp.alpha0) - math.log(abs(tp.beta_star)))
     return VarianceAsymptotics(log_coefficient=log_coeff, rate=tp.eta)
 
-
-def subsystem_charge_distribution(model: ChargeModel, n_total: int, n_a: int,
-                                  q_total: int) -> SubsystemChargeDistribution:
-    """Exact distribution of t = q_A/N_A built from big-integer block dimensions."""
-    table = block_table(model, n_total, n_a, q_total)
-    total = table.sector_dimension
-    support = tuple(
-        (qa2 / (2.0 * n_a), float(Fraction(d * b, total)))
-        for qa2, d, b in table.blocks
-    )
-    return SubsystemChargeDistribution(support)

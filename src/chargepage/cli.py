@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: dims, thermo, page-curve, exact, mc, crosscheck, laplace-check.
-Every subcommand writes csv or json with the same numerical content, always
-prefixed by a self-describing metadata block (model echo, version, seed).
-The numerical work lives in the library: a density is snapped to a charge
-by ``SectorTable.snap``, and laplace-check runs ``laplace.run_laplace_suite``.
+Subcommands: dims, thermo, page-curve, exact, mc, crosscheck. Each takes
+exactly one of --model and --model-file, and writes csv or json with the
+same numerical content, always prefixed by a self-describing metadata block
+(model echo, version, seed). The numerical work lives in the library: a
+density is snapped to a charge by ``SectorTable.snap``.
 
-Exit codes: 0 success, 1 a verification ran and failed (crosscheck,
-laplace-check), 2 usage or domain error (including unreadable or unwritable
-paths), 3 internal invariant violation or any other unexpected error.
+Exit codes: 0 success, 1 a verification ran and failed (crosscheck), 2 usage
+or domain error (including unreadable or unwritable paths), 3 internal
+invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from . import __version__
 from .models import ChargeModel, GroupKind, catalog, catalog_names, \
     charge_str, load_model
 from .sectors import block_table, block_tables, sector_dims
-from .thermo import catalog_closed_forms, density_interval, thermo_point
+from .thermo import density_interval, thermo_point
 from .asymptotics import Regime, average_entropy_asymptotic, \
     checked_thermo_point, estimate_at_point
 from .exactavg import ENTROPY, block_average_entropy, exact_average_entropy
-from .laplace import run_laplace_suite
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
 EXIT_OK = 0
@@ -44,18 +43,14 @@ EXIT_INTERNAL = 3
 # shared plumbing
 
 def _resolve_model(args) -> ChargeModel:
-    if args.model and args.model_file:
-        raise ValueError("give either --model or --model-file, not both")
-    if args.model:
+    """The model of --model or --model-file; argparse makes sure exactly one is given."""
+    if args.model is not None:
         return catalog(args.model)
-    if args.model_file:
-        try:
-            return load_model(args.model_file)
-        except OSError as exc:
-            raise ValueError(f"--model-file: cannot read {args.model_file!r}: "
-                             f"{exc.strerror}") from exc
-    raise ValueError(f"a model is required: --model {{{','.join(catalog_names())}}} "
-                     "or --model-file PATH")
+    try:
+        return load_model(args.model_file)
+    except OSError as exc:
+        raise ValueError(f"--model-file: cannot read {args.model_file!r}: "
+                         f"{exc.strerror}") from exc
 
 
 def _parse_charge(text: str) -> int:
@@ -156,11 +151,8 @@ def cmd_thermo(args) -> int:
     rows = []
     for s in grid:
         tp = thermo_point(model, s)
-        row = {"s": s, "beta_star": tp.beta_star, "eta": tp.eta,
-               "eta_pp": tp.eta_pp, "c_star": tp.c_star, "alpha0": tp.alpha0}
-        if args.closed_form and args.model:  # a model file may reuse a catalog name
-            row["eta_closed_form"] = catalog_closed_forms(model.name, s).eta
-        rows.append(row)
+        rows.append({"s": s, "beta_star": tp.beta_star, "eta": tp.eta,
+                     "eta_pp": tp.eta_pp, "c_star": tp.c_star, "alpha0": tp.alpha0})
     _emit(rows, {"command": "thermo", "model": model.as_dict()}, args)
     return EXIT_OK
 
@@ -246,7 +238,7 @@ def cmd_page_curve(args) -> int:
     _require("--n", args.n, 0)
     _require("--points", points, 1)
     model = _resolve_model(args)
-    if args.f:
+    if args.f is not None:
         fractions = [_parse_fraction(tok) for tok in args.f.split(",")]
     else:
         fractions = [Fraction(i, points + 1) for i in range(1, points + 1)]
@@ -356,25 +348,13 @@ def cmd_crosscheck(args) -> int:
     return EXIT_VERIFY if any(row["status"] == "fail" for row in rows) else EXIT_OK
 
 
-def cmd_laplace_check(args) -> int:
-    ns = _parse_n_list(args.n_list)
-    try:
-        rows = run_laplace_suite(ns)
-    except ValueError as exc:  # the suite's own domain check names no flag
-        raise ValueError(f"--n-list {exc}") from None
-    for row in rows:
-        row["status"] = "pass" if abs(row["slope"] - row["target"]) <= 0.15 else "fail"
-    _emit(rows, {"command": "laplace-check", "n_list": list(ns)}, args)
-    return EXIT_VERIFY if any(row["status"] == "fail" for row in rows) else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, model=True):
-    if model:
-        sub.add_argument("--model", help="builtin model name "
-                         f"({', '.join(catalog_names())})")
-        sub.add_argument("--model-file", help="path to a JSON model config")
+def _add_common(sub):
+    model = sub.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model", help="builtin model name "
+                       f"({', '.join(catalog_names())})")
+    model.add_argument("--model-file", help="path to a JSON model config")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (default: stdout)")
 
@@ -406,8 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--s", type=float, help="single charge density")
     grid.add_argument("--grid", type=int, help="interior grid size (default 99)")
-    p.add_argument("--closed-form", action="store_true",
-                   help="add the catalog closed-form eta column")
     p.set_defaults(func=cmd_thermo)
 
     p = subs.add_parser("page-curve", help="asymptotic entropy vs fraction f")
@@ -450,12 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=2.0,
                    help="bound on the N-scaled exact-asymptotic difference")
     p.set_defaults(func=cmd_crosscheck)
-
-    p = subs.add_parser("laplace-check",
-                        help="error scaling of the Laplace toolkit vs quadrature")
-    _add_common(p, model=False)
-    p.add_argument("--n-list", default="100,1000,10000")
-    p.set_defaults(func=cmd_laplace_check)
     return parser
 
 

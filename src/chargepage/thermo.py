@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import ChargeModel, GroupKind, catalog, weight_multiplicities
+from .models import ChargeModel, GroupKind, weight_multiplicities
 
 #: half-width excluded at each end of the density interval; beta* diverges there
 BOUNDARY_EPS = 1e-9
@@ -157,72 +157,3 @@ def thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
     return ThermoPoint(s=s, beta_star=beta, eta=eta_legendre, eta_pp=eta_pp,
                        c_star=c_star, alpha0=alpha0)
 
-
-# ---------------------------------------------------------------------------
-# Closed-form golden references for the six builtin models. These are a
-# deliberately independent code path: no root solver, no Gibbs sums.
-
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x > 0 else 0.0
-
-
-def _qubit_forms(s: float) -> tuple[float, float, float, float]:
-    eta = -_xlogx((1 - 2 * s) / 2) - _xlogx((1 + 2 * s) / 2)
-    beta = math.log((1 - 2 * s) / (1 + 2 * s))
-    c = (0.25 - s * s) * beta * beta
-    eta_pp = -1.0 / (0.25 - s * s)
-    return eta, beta, c, eta_pp
-
-
-def _qutrit_forms(s: float) -> tuple[float, float, float, float]:
-    r = math.sqrt(4 - 3 * s * s)
-    eta = (-_xlogx((4 - 3 * s - r) / 6)
-           - _xlogx((-1 + r) / 3)
-           - _xlogx((4 + 3 * s - r) / 6))
-    beta = math.log((-s + r) / (2 * (1 + s)))
-    c = (r * (r - 1) / 12) * math.log((4 + 3 * s - r) / (4 - 3 * s - r)) ** 2
-    eta_pp = -3.0 / (r * (r - 1))
-    return eta, beta, c, eta_pp
-
-
-def _twobosons_forms(s: float) -> tuple[float, float, float, float]:
-    eta = math.log(3) - (1 - s) * math.log(3 * (1 - s)) - s * math.log(1.5 * s)
-    beta = math.log((2 - 2 * s) / s)
-    c = s * (1 - s) * beta * beta
-    eta_pp = -1.0 / (s * (1 - s))
-    return eta, beta, c, eta_pp
-
-
-def _trimer_forms(s: float) -> tuple[float, float, float, float]:
-    eta = -(3 - 2 * s) / 2 * math.log((3 - 2 * s) / 6) \
-        - (3 + 2 * s) / 2 * math.log((3 + 2 * s) / 6)
-    beta = math.log((3 - 2 * s) / (3 + 2 * s))
-    c = (0.75 - s * s / 3) * beta * beta
-    eta_pp = -1.0 / (0.75 - s * s / 3)
-    return eta, beta, c, eta_pp
-
-
-def catalog_closed_forms(name: str, s: float) -> ThermoPoint:
-    """Closed-form ThermoPoint for a builtin model at density s."""
-    model = catalog(name)  # raises UnknownModelError for bad names
-    _check_density(model, s)
-    if name in ("u1-qubit", "su2-qubit"):
-        eta, beta, c, eta_pp = _qubit_forms(s)
-    elif name in ("u1-qutrit", "su2-qutrit"):
-        eta, beta, c, eta_pp = _qutrit_forms(s)
-    elif name == "u1-2bosons":
-        eta, beta, c, eta_pp = _twobosons_forms(s)
-    else:
-        eta, beta, c, eta_pp = _trimer_forms(s)
-
-    if model.group is GroupKind.U1:
-        alpha0 = 1.0
-    elif name == "su2-qubit":
-        alpha0 = 4 * s / (1 + 2 * s)
-    elif name == "su2-qutrit":
-        r = math.sqrt(4 - 3 * s * s)
-        alpha0 = (2 + 3 * s - r) / (2 * (1 + s))
-    else:  # su2-trimer
-        alpha0 = 4 * s / (3 + 2 * s)
-    return ThermoPoint(s=s, beta_star=beta, eta=eta, eta_pp=eta_pp,
-                       c_star=c, alpha0=alpha0)

@@ -11,18 +11,34 @@ per block, where the library only draws each block's Schmidt spectrum. The
 full-space oracle uses no block table at all: it projects Haar states of the
 whole k^n tensor space onto a sector and cuts them as a k^n_A x k^(n - n_A)
 matrix in the spin basis.
+
+Three reference routes check the library's other results:
+``catalog_closed_forms`` gives the six catalog models' thermodynamics in
+closed form (no root solver, no Gibbs sums); ``subsystem_charge_distribution``
+is the exact finite-N law of the subsystem charge density, the reference for
+``asymptotics.charge_density_moments``; ``run_laplace_suite`` measures how
+fast the error of ``laplace.laplace_discontinuous`` falls against
+``scipy.integrate.quad`` on ten analytic integrals.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import statistics
 from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import null_space
 
-from chargepage.models import ChargeModel, GroupKind, weight_multiplicities
+from chargepage.laplace import LaplaceProblem, laplace_discontinuous
+from chargepage.models import ChargeModel, GroupKind, catalog, weight_multiplicities
+from chargepage.sectors import block_table
+from chargepage.thermo import ThermoPoint
 
 
 def random_small_models():
@@ -221,3 +237,181 @@ def full_space_entropies(model: ChargeModel, n: int, n_a: int, q2: int,
         p /= p.sum(axis=1, keepdims=True)
         out.append(-(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1))
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form thermodynamics of the six catalog models
+
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x > 0 else 0.0
+
+
+def _qubit_forms(s: float) -> tuple[float, float, float, float]:
+    eta = -_xlogx((1 - 2 * s) / 2) - _xlogx((1 + 2 * s) / 2)
+    beta = math.log((1 - 2 * s) / (1 + 2 * s))
+    c = (0.25 - s * s) * beta * beta
+    eta_pp = -1.0 / (0.25 - s * s)
+    return eta, beta, c, eta_pp
+
+
+def _qutrit_forms(s: float) -> tuple[float, float, float, float]:
+    r = math.sqrt(4 - 3 * s * s)
+    eta = (-_xlogx((4 - 3 * s - r) / 6)
+           - _xlogx((-1 + r) / 3)
+           - _xlogx((4 + 3 * s - r) / 6))
+    beta = math.log((-s + r) / (2 * (1 + s)))
+    c = (r * (r - 1) / 12) * math.log((4 + 3 * s - r) / (4 - 3 * s - r)) ** 2
+    eta_pp = -3.0 / (r * (r - 1))
+    return eta, beta, c, eta_pp
+
+
+def _twobosons_forms(s: float) -> tuple[float, float, float, float]:
+    eta = math.log(3) - (1 - s) * math.log(3 * (1 - s)) - s * math.log(1.5 * s)
+    beta = math.log((2 - 2 * s) / s)
+    c = s * (1 - s) * beta * beta
+    eta_pp = -1.0 / (s * (1 - s))
+    return eta, beta, c, eta_pp
+
+
+def _trimer_forms(s: float) -> tuple[float, float, float, float]:
+    eta = -(3 - 2 * s) / 2 * math.log((3 - 2 * s) / 6) \
+        - (3 + 2 * s) / 2 * math.log((3 + 2 * s) / 6)
+    beta = math.log((3 - 2 * s) / (3 + 2 * s))
+    c = (0.75 - s * s / 3) * beta * beta
+    eta_pp = -1.0 / (0.75 - s * s / 3)
+    return eta, beta, c, eta_pp
+
+
+def catalog_closed_forms(name: str, s: float) -> ThermoPoint:
+    """Closed-form ThermoPoint of a catalog model at an interior density s."""
+    if name in ("u1-qubit", "su2-qubit"):
+        eta, beta, c, eta_pp = _qubit_forms(s)
+    elif name in ("u1-qutrit", "su2-qutrit"):
+        eta, beta, c, eta_pp = _qutrit_forms(s)
+    elif name == "u1-2bosons":
+        eta, beta, c, eta_pp = _twobosons_forms(s)
+    else:
+        eta, beta, c, eta_pp = _trimer_forms(s)
+
+    if catalog(name).group is GroupKind.U1:
+        alpha0 = 1.0
+    elif name == "su2-qubit":
+        alpha0 = 4 * s / (1 + 2 * s)
+    elif name == "su2-qutrit":
+        r = math.sqrt(4 - 3 * s * s)
+        alpha0 = (2 + 3 * s - r) / (2 * (1 + s))
+    else:  # su2-trimer
+        alpha0 = 4 * s / (3 + 2 * s)
+    return ThermoPoint(s=s, beta_star=beta, eta=eta, eta_pp=eta_pp,
+                       c_star=c, alpha0=alpha0)
+
+
+# ---------------------------------------------------------------------------
+# Exact subsystem charge distribution
+
+@dataclass(frozen=True)
+class SubsystemChargeDistribution:
+    """Exact finite-N distribution of the subsystem charge density t = q_A/N_A."""
+
+    support: tuple[tuple[float, float], ...]
+
+    def mean(self) -> float:
+        return math.fsum(t * p for t, p in self.support)
+
+    def central_moment(self, center: float, k: int) -> float:
+        return math.fsum(p * (t - center) ** k for t, p in self.support)
+
+
+def subsystem_charge_distribution(model: ChargeModel, n_total: int, n_a: int,
+                                  q_total: int) -> SubsystemChargeDistribution:
+    """Exact distribution of t = q_A/N_A built from big-integer block dimensions."""
+    table = block_table(model, n_total, n_a, q_total)
+    total = table.sector_dimension
+    support = tuple(
+        (qa2 / (2.0 * n_a), float(Fraction(d * b, total)))
+        for qa2, d, b in table.blocks
+    )
+    return SubsystemChargeDistribution(support)
+
+
+# ---------------------------------------------------------------------------
+# Laplace toolkit against adaptive quadrature
+
+def _cubic_g(t):
+    return -t * t / 2 + t**3 / 6
+
+
+def _cosh_g(t):
+    return 1.0 - math.cosh(t)
+
+
+def _skew_g(t):
+    return 1.0 - math.cosh(t) + t**3 / 10
+
+
+def _one(t):
+    return 1.0
+
+
+def _quadratic(t):
+    return 1 + t + t * t
+
+
+def _two_plus_sin(t):
+    return 2 + math.sin(t)
+
+
+LAPLACE_SUITE = [
+    # (name, g(t), h_minus(t), h_plus(t), problem); a smooth case has
+    # h_minus = h_plus
+    ("gauss-exp", lambda t: -t * t / 2, math.exp, math.exp,
+     LaplaceProblem(0.0, (-8.0, 8.0), (0, 0, -1, 0, 0), (1, 1, 1), (1, 1, 1))),
+    ("cubic-tilt", _cubic_g, _one, _one,
+     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, 0, 0), (1, 0, 0))),
+    ("cosh-well", _cosh_g, _one, _one,
+     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (1, 0, 0), (1, 0, 0))),
+    ("cosh-quad-prefactor", _cosh_g, _quadratic, _quadratic,
+     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (1, 1, 2), (1, 1, 2))),
+    ("cubic-sin-prefactor", _cubic_g, _two_plus_sin, _two_plus_sin,
+     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (2, 1, 0), (2, 1, 0))),
+    ("jump-cubic", _cubic_g, _one, lambda t: 2.0,
+     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, 0, 0), (2, 0, 0))),
+    ("kink-cosh", _cosh_g, lambda t: 1 - t, lambda t: 1 + t,
+     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (1, -1, 0), (1, 1, 0))),
+    ("jump-slope-cosh", _cosh_g, lambda t: 2 + t, lambda t: 1 - t,
+     LaplaceProblem(0.0, (-3.0, 3.0), (0, 0, -1, 0, -1), (2, 1, 0), (1, -1, 0))),
+    ("exp-jump-cubic", _cubic_g, lambda t: math.exp(-t), lambda t: 2 * math.exp(t),
+     LaplaceProblem(0.0, (-1.0, 1.5), (0, 0, -1, 1, 0), (1, -1, 1), (2, 2, 2))),
+    ("mixed-skew", _skew_g, lambda t: 1 + t * t, lambda t: 2 - t,
+     LaplaceProblem(0.0, (-2.0, 2.0), (0, 0, -1, 0.6, -1), (1, 0, 2), (2, -1, 0))),
+]
+
+
+def _quad_reference(g, h_minus, h_plus, problem, n):
+    t1, t2 = problem.interval
+    t0 = problem.t0
+    lo, _ = quad(lambda t: h_minus(t) * math.exp(n * g(t)), t1, t0,
+                 epsabs=0.0, epsrel=1e-13, limit=300)
+    hi, _ = quad(lambda t: h_plus(t) * math.exp(n * g(t)), t0, t2,
+                 epsabs=0.0, epsrel=1e-13, limit=300)
+    return lo + hi
+
+
+def run_laplace_suite(ns):
+    """Error-scaling rows for the analytic suite vs adaptive quadrature.
+
+    Each row's slope is the least-squares fit of log |relative error| against
+    log n over two or more distinct n; past n ~ 10^5 the smooth rows' error
+    (~n^-2) meets quad's epsrel of 1e-13.
+    """
+    rows = []
+    for name, g, h_minus, h_plus, problem in LAPLACE_SUITE:
+        smooth = problem.h_minus == problem.h_plus
+        errs = [abs(laplace_discontinuous(problem, n)["value"]
+                    / _quad_reference(g, h_minus, h_plus, problem, n) - 1.0) for n in ns]
+        slope = statistics.linear_regression([math.log(n) for n in ns],
+                                             [math.log(e) for e in errs]).slope
+        rows.append({"case": name, "kind": "smooth" if smooth else "discontinuous",
+                     "slope": slope, "target": -2.0 if smooth else -1.5,
+                     "max_rel_error": max(errs)})
+    return rows

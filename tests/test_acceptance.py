@@ -11,16 +11,15 @@ from fractions import Fraction
 
 from chargepage.models import GroupKind, catalog, catalog_names
 from chargepage.sectors import block_table, realizable_charges, sector_dims
-from chargepage.thermo import catalog_closed_forms, density_interval, \
-    thermo_point
+from chargepage.thermo import density_interval, thermo_point
 from chargepage.asymptotics import (
     asymptotic_log_dim, average_entropy_asymptotic,
 )
 from chargepage.exactavg import exact_average_entropy
 from chargepage.montecarlo import McConfig, run
-from chargepage.laplace import run_laplace_suite
 
-from conftest import brute_force_u1_counts, ladder_su2_dims
+from conftest import brute_force_u1_counts, catalog_closed_forms, ladder_su2_dims, \
+    run_laplace_suite
 
 MC_MATRIX_SEED = 20240809
 

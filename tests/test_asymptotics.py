@@ -13,8 +13,10 @@ from chargepage.thermo import DensityDomainError, density_interval, gibbs, \
 from chargepage.asymptotics import (
     DELTA_TOLERANCE, ExtremalChargeError, InfiniteTemperatureVarianceError,
     Regime, asymptotic_log_dim, average_entropy_asymptotic,
-    charge_density_moments, subsystem_charge_distribution, variance_asymptotic,
+    charge_density_moments, variance_asymptotic,
 )
+
+from conftest import subsystem_charge_distribution
 
 
 def test_asymptotic_log_dim_qubit_at_zero():

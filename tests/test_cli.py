@@ -377,9 +377,6 @@ def test_failed_verification_exits_one(capsys):
                        "--f", "1/2", "--s", "0.0", "--samples", "200", "--tol", "1e-9")
     assert code == EXIT_VERIFY
     assert parse_csv(out)[1][0]["status"] == "fail"
-    code, out = invoke(capsys, "laplace-check", "--n-list", "2,3,4")
-    assert code == EXIT_VERIFY
-    assert "fail" in {row["status"] for row in parse_csv(out)[1]}
 
 
 def test_refused_monte_carlo_leg_keeps_a_failed_crosscheck(capsys):
@@ -430,27 +427,13 @@ def test_unwritable_path_is_a_usage_error(tmp_path, capsys, flag, argv):
     assert captured.out == ""
 
 
-LAPLACE = ("laplace-check",)
-CROSSCHECK = ("crosscheck", "--model", "u1-qubit", "--f", "1/2", "--s", "0.1")
-N_LIST_CASES = [
-    (LAPLACE, "100", "--n-list needs at least two distinct values"),
-    (LAPLACE, "100,100", "--n-list needs at least two distinct values"),
-    (LAPLACE, "0", "--n-list must be >= 1, got 0"),
-    (LAPLACE, "0,100", "--n-list must be >= 1, got 0"),
-    (LAPLACE, "10,x", "--n-list must be a comma list of integers"),
-    (LAPLACE, "100,1000000", "--n-list must be <= 100000, got 1000000"),
-    (LAPLACE, "100,10000000", "--n-list must be <= 100000, got 10000000"),
-    (CROSSCHECK, "8,x", "--n-list must be a comma list of integers, got '8,x'"),
-    (CROSSCHECK, "0", "--n-list must be >= 1, got 0"),
-]
-
-
-# a laplace-check case is named by its n_list and message alone
-@pytest.mark.parametrize("command, n_list, message", N_LIST_CASES, ids=[
-    f"{n_list}-{message}" if command is LAPLACE else f"{command[0]}-{n_list}-{message}"
-    for command, n_list, message in N_LIST_CASES])
-def test_bad_laplace_n_list_is_a_usage_error(capsys, command, n_list, message):
-    assert main([*command, "--n-list", n_list]) == EXIT_USAGE
+@pytest.mark.parametrize("n_list, message", [
+    ("8,x", "--n-list must be a comma list of integers, got '8,x'"),
+    ("0", "--n-list must be >= 1, got 0"),
+], ids=["8,x", "0"])
+def test_bad_n_list_is_a_usage_error(capsys, n_list, message):
+    assert main(["crosscheck", "--model", "u1-qubit", "--f", "1/2", "--s", "0.1",
+                 "--n-list", n_list]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
 
@@ -515,8 +498,8 @@ def test_thermo_su2_density_below_zero_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("dims", "--model", "u1-qubit", "--model-file", "m.json", "--n", "4"),
-     "give either --model or --model-file, not both"),
+    (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", ""),
+     "Invalid literal for Fraction: ''"),
     (("dims", "--model", "u1-qubit", "--n", "4", "--na", "2"),
      "--na and --q must be given together"),
     (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", "3/2"),
@@ -540,24 +523,6 @@ def test_unrealizable_charge_message_names_the_model_at_every_cut(capsys, n_a):
                  "--q", "99"]) == EXIT_USAGE
     assert capsys.readouterr().err == ("chargepage: error: charge 198/2 (doubled 198) "
                                        "is not realizable for u1-qutrit with n = 10\n")
-
-
-def test_thermo_closed_form_column(tmp_path, capsys):
-    code, out = invoke(capsys, "thermo", "--model", "su2-trimer", "--grid", "5",
-                       "--closed-form")
-    assert code == 0
-    rows = parse_csv(out)[1]
-    assert len(rows) == 5
-    for row in rows:
-        assert abs(float(row["eta_closed_form"]) - float(row["eta"])) < 1e-10
-    # a model file is not a catalog model, even when it reuses a catalog name
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"group": "U1", "multiplicities": {"0": 1, "4": 1},
-                                "name": "u1-qubit"}), encoding="utf-8")
-    code, out = invoke(capsys, "thermo", "--model-file", str(path), "--s", "0.3",
-                       "--closed-form")
-    assert code == 0
-    assert "eta_closed_form" not in parse_csv(out)[1][0]
 
 
 def fake_mc_run(offset=None):
@@ -628,7 +593,6 @@ def test_usage_errors_exit_two(capsys):
                   "--s", "0.0", "--f", "1/2")[0] == 2
     assert invoke(capsys, "exact", "--model", "u1-qubit", "--n", "4",
                   "--na", "2", "--q", "3")[0] == 2  # unrealizable charge
-    assert invoke(capsys, "thermo", "--s", "0.1")[0] == 2  # no model
 
 
 def test_snap_charge_lattice():
@@ -640,18 +604,14 @@ def test_snap_charge_lattice():
     assert sectors.sector_dims(qubit, 7).snap(0.0) == -1  # a tie goes to the lower charge
 
 
-def test_laplace_check_quick(capsys):
-    code, out = invoke(capsys, "laplace-check", "--n-list", "100,1000,10000")
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert len(rows) == 10
-    assert all(row["status"] == "pass" for row in rows)
-
-
-# each of these exited 0 having ignored an option it had accepted; argparse
-# counts an option equal to its default as absent, hence the default values
+# argparse refuses each of these: an option the command would ignore (argparse
+# counts an option equal to its default as absent, hence the default values),
+# a removed command or option, and a missing or doubled model
 IGNORED_OPTIONS = [
     ("laplace-check", "--model", "nope", "--model-file", "/nonexistent/x.json"),
+    ("thermo", "--model", "u1-qubit", "--s", "0.1", "--closed-form"),
+    ("dims", "--model", "u1-qubit", "--model-file", "m.json", "--n", "4"),
+    ("dims", "--n", "4"),
     ("page-curve", "--model", "u1-qubit", "--n", "16", "--s", "0.1", "--points", "5",
      "--f", "1/2"),
     ("page-curve", "--model", "u1-qubit", "--n", "16", "--s", "0.1", "--points", "19",
@@ -662,8 +622,8 @@ IGNORED_OPTIONS = [
 
 
 @pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=[
-    "laplace-check-model", "points-and-f", "default-points-and-f", "grid-and-s",
-    "default-grid-and-s"])
+    "laplace-check-model", "closed-form", "model-and-model-file", "no-model",
+    "points-and-f", "default-points-and-f", "grid-and-s", "default-grid-and-s"])
 def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

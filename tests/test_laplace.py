@@ -3,10 +3,8 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from chargepage import laplace
 from chargepage.laplace import (
     DegeneratePrefactorError, LaplaceProblem, NotAMaximumError, laplace_discontinuous,
-    run_laplace_suite,
 )
 
 GAUSS = LaplaceProblem(0.0, (-8.0, 8.0), (0, 0, -1, 0, 0), (1, 0, 0), (1, 0, 0))
@@ -87,17 +85,3 @@ def test_degenerate_prefactors():
     zero = LaplaceProblem(0.0, (-1, 1), (0, 0, -1, 0, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(DegeneratePrefactorError):
         laplace_discontinuous(zero, 10)
-
-
-@pytest.mark.parametrize("ns, message", [
-    ((100, 10**7), "must be <= 100000, got 10000000"),
-    ((100, 100), "needs at least two distinct values"),
-    ((0, 100), "must be >= 1, got 0"),
-])
-def test_suite_rejects_its_domain_before_quadrature(monkeypatch, ns, message):
-    def no_quadrature(*args):
-        raise AssertionError("quadrature ran on an out-of-domain n list")
-
-    monkeypatch.setattr(laplace, "_quad_reference", no_quadrature)
-    with pytest.raises(ValueError, match=message):
-        run_laplace_suite(ns)

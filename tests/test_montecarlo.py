@@ -262,8 +262,8 @@ def test_run_below_work_floor_uses_one_worker(monkeypatch):
 
 
 def test_serial_path_imports_no_thread_pool():
-    # nor scipy, which only laplace-check needs: importing it costs more
-    # than the rest of startup
+    # nor scipy, which only the tests need: importing it costs more than
+    # the rest of startup
     code = ("import contextlib, io, sys\n"
             "from chargepage import cli, montecarlo\n"
             "from chargepage.models import catalog\n"
@@ -273,6 +273,9 @@ def test_serial_path_imports_no_thread_pool():
             "for argv in (['dims', *model, '--n', '6'],\n"
             "             ['exact', *model, '--n', '8', '--na', '3', '--q', '1'],\n"
             "             ['page-curve', *model, '--n', '12', '--s', '0.3', '--exact'],\n"
+            "             ['thermo', *model, '--grid', '3'],\n"
+            "             ['crosscheck', '--model', 'u1-qubit', '--n-list', '8,12',\n"
+            "              '--f', '1/2', '--s', '0.1', '--samples', '20'],\n"
             "             ['mc', '--model', 'u1-qubit', '--n', '8', '--na', '4',\n"
             "              '--q', '0', '--samples', '50']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"

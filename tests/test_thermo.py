@@ -7,12 +7,11 @@ from hypothesis import assume, example, given, settings
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names, \
     weight_multiplicities
 from chargepage.thermo import (
-    DegenerateModelError, DensityDomainError, catalog_closed_forms,
-    density_interval, gibbs, infinite_temperature_density, solve_beta_star,
-    thermo_point,
+    DegenerateModelError, DensityDomainError, density_interval, gibbs,
+    infinite_temperature_density, solve_beta_star, thermo_point,
 )
 
-from conftest import random_small_models
+from conftest import catalog_closed_forms, random_small_models
 
 
 def interior_grid(name, points=25):
@@ -230,7 +229,3 @@ def test_qutrit_eta_same_for_both_groups():
 def test_two_species_bosons_eta_peaks_at_log3():
     assert abs(catalog_closed_forms("u1-2bosons", 2 / 3).eta - math.log(3)) < 1e-14
 
-
-def test_closed_forms_domain_error():
-    with pytest.raises(DensityDomainError):
-        catalog_closed_forms("u1-2bosons", 1.0)
