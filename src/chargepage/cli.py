@@ -54,18 +54,27 @@ def _resolve_model(args) -> ChargeModel:
 
 
 def _parse_charge(text: str) -> int:
-    """Physical charge ('1', '-2', '3/2', '0.5') to its doubled integer."""
-    q2 = Fraction(text) * 2
-    if q2.denominator != 1:
-        raise ValueError(f"charge {text!r} is not an integer or half-integer")
-    return int(q2)
+    """--q: physical charge ('1', '-2', '3/2', '0.5') to its doubled integer."""
+    try:
+        q2 = Fraction(text) * 2
+        if q2.denominator == 1:
+            return int(q2)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+        pass
+    raise ValueError(f"--q must be an integer or half-integer such as 0, -2 or 3/2, "
+                     f"got {text!r}")
 
 
 def _parse_fraction(text: str) -> Fraction:
-    f = Fraction(text)
-    if not 0 < f < 1:
-        raise ValueError(f"fraction {text!r} must lie strictly between 0 and 1")
-    return f
+    """One --f value: a subsystem fraction strictly between 0 and 1."""
+    try:
+        f = Fraction(text)
+        if 0 < f < 1:
+            return f
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"--f takes fractions strictly between 0 and 1 such as 1/4 or 0.5, "
+                     f"got {text!r}")
 
 
 def _require(flag: str, value: int, low: int) -> None:

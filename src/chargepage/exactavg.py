@@ -41,6 +41,21 @@ def _digamma_tail(x: float) -> float:
     return math.log(x) - 0.5 / x - acc
 
 
+def _digamma_and_half_inverse(d: int, log_d: float) -> tuple[float, float]:
+    """psi(d + 1) and 1/(2d) for d >= 1, given log_d = math.log(d).
+
+    1/(2d) is 0.0 once d has 1000 bits, where it is far below ulp(log d).
+    """
+    if d < 9:
+        return math.fsum([_digamma_tail(10.0), *(-1.0 / k for k in range(d + 1, 10))]), 0.5 / d
+    if d <= 10**12:
+        return _digamma_tail(float(d + 1)), 0.5 / d
+    # psi(d+1) = log d + 1/(2d) - 1/(12 d^2) + ...; beyond 1e12 only the
+    # first correction is representable
+    half_inverse = 0.5 / d if d.bit_length() < 1000 else 0.0
+    return log_d + half_inverse, half_inverse
+
+
 def digamma_of_big_plus_one(d: int) -> float:
     """psi(d + 1) for a positive integer of any size.
 
@@ -50,14 +65,7 @@ def digamma_of_big_plus_one(d: int) -> float:
     """
     if d < 1:
         raise ValueError(f"expected a positive integer, got {d}")
-    if d < 9:
-        return math.fsum([_digamma_tail(10.0), *(-1.0 / k for k in range(d + 1, 10))])
-    if d <= 10**12:
-        return _digamma_tail(float(d + 1))
-    # psi(d+1) = log d + 1/(2d) - 1/(12 d^2) + ...; beyond 1e12 only the
-    # first correction is representable
-    corr = 0.5 / float(d) if d.bit_length() < 1000 else 0.0
-    return math.log(d) + corr
+    return _digamma_and_half_inverse(d, math.log(d))[0]
 
 
 @dataclass(frozen=True)
@@ -99,15 +107,15 @@ def block_average_entropy(table: BlockTable) -> ExactAverage:
     dim = table.sector_dimension
     log_dim = math.log(dim)
 
-    y1 = digamma_of_big_plus_one(dim)
+    y1 = _digamma_and_half_inverse(dim, log_dim)[0]
     y2_terms = []
     y3_terms = []
     for _, d, b in table.blocks:
         log_d, log_b = math.log(d), math.log(b)
         weight = math.exp(log_d + log_b - log_dim)
-        big = d if d >= b else b
-        inv_corr = 0.5 / big if big.bit_length() < 1000 else 0.0
-        y2_terms.append(-(digamma_of_big_plus_one(big) - inv_corr) * weight)
+        big, log_big = (d, log_d) if d >= b else (b, log_b)
+        psi, half_inverse = _digamma_and_half_inverse(big, log_big)
+        y2_terms.append(-(psi - half_inverse) * weight)
         y3_terms.append(-0.5 * math.exp(-abs(log_d - log_b)) * weight)
     y2 = math.fsum(y2_terms)
     y3 = math.fsum(y3_terms)

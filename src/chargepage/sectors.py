@@ -6,7 +6,10 @@ coefficients of P(x)^n, where P is the one-body weight polynomial on the
 compressed lattice w = w_min + step*k (step = gcd of the weight
 differences). J.C.P. Miller's power-series recurrence (Knuth, TAOCP Vol. 2,
 section 4.7) yields each coefficient from the previous ones with one exact
-division, so there is no recursion over bodies and nothing to cache. SU(2)
+division, so there is no recursion over bodies and nothing to cache. When
+the one-body weight multiplicities mirror about their middle (every SU(2)
+model, u1-qubit, u1-qutrit), so do the N-body counts, and the recurrence
+runs only to the middle coefficient. SU(2)
 complement blocks sum spin sectors over the triangle range, and that sum
 telescopes to two weight counts. The tables of the cuts n_A and N - n_A
 are built from the same two weight counts, so many cuts of one sector cost
@@ -75,21 +78,32 @@ def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
 
     With P(x) = sum_k a_k x^k on the compressed lattice, the coefficients of
     P(x)^n obey j a_0 c_j = sum_k ((n+1) k - j) a_k c_{j-k} (Miller), and
-    the division by j a_0 is exact.
+    the division by j a_0 is exact. When a_k = a_{top-k} (every SU(2) model,
+    and U(1) models whose multiplicities mirror about the middle charge),
+    P(x)^n is palindromic too: the recurrence stops at the middle coefficient
+    and c_j = c_{n top - j} fills the rest.
     """
     if n < 0:
         raise ValueError(f"n = {n} must be >= 0")
     local = weight_multiplicities(model)
     w_min = min(local)
     step = lattice_step(model)
-    terms = [((w - w_min) // step, a) for w, a in local.items() if w != w_min]
-    a0 = local[w_min]
-    top = (max(local) - w_min) // step
+    a = {(w - w_min) // step: m for w, m in local.items()}
+    top, a0 = max(a), a[0]
+    # (k, (n+1) k a_k, a_k) ascending in k, so the inner loop can stop at k > j
+    terms = [(k, (n + 1) * k * m, m) for k, m in a.items() if k]
+    last = n * top
+    symmetric = all(a.get(top - k) == m for k, m in a.items())
     c = [a0**n]
-    for j in range(1, n * top + 1):
-        acc = sum(((n + 1) * k - j) * a * c[j - k] for k, a in terms if k <= j)
+    for j in range(1, (last // 2 if symmetric else last) + 1):
+        acc = 0
+        for k, nka, m in terms:
+            if k > j:
+                break
+            acc += (nka - j * m) * c[j - k]
         c.append(acc // (j * a0))
-    return {n * w_min + step * j: cj for j, cj in enumerate(c) if cj}
+    c.extend(reversed(c[:last + 1 - len(c)]))
+    return {w: cj for w, cj in zip(range(n * w_min, n * max(local) + 1, step), c) if cj}
 
 
 def _dims_from_counts(model: ChargeModel, counts: dict[int, int]) -> dict[int, int]:

@@ -497,19 +497,35 @@ def test_thermo_su2_density_below_zero_is_a_usage_error(capsys):
     assert code == 0 and float(parse_csv(out)[1][0]["s"]) == 0.0
 
 
+F_ERROR = "--f takes fractions strictly between 0 and 1 such as 1/4 or 0.5, got "
+Q_ERROR = "--q must be an integer or half-integer such as 0, -2 or 3/2, got "
+
+
 @pytest.mark.parametrize("argv, message", [
     (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", ""),
-     "Invalid literal for Fraction: ''"),
+     F_ERROR + "''"),
     (("dims", "--model", "u1-qubit", "--n", "4", "--na", "2"),
      "--na and --q must be given together"),
     (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", "3/2"),
-     "fraction '3/2' must lie strictly between 0 and 1"),
+     F_ERROR + "'3/2'"),
     (("exact", "--model", "u1-qubit", "--n", "0", "--na", "0", "--q", "0"),
      "n_total = 0 must be >= 1"),
     (("exact", "--model", "u1-qubit", "--n", "5", "--na", "7", "--q", "0"),
      "n_a = 7 outside [0, 5]"),
     (("page-curve", "--model", "su2-qubit", "--n", "64", "--s", "1e-12", "--f", "1/2"),
      "SU2 asymptotics need charge density s > 0 with beta* < -1e-09; s = 1e-12"),
+    (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", "x"),
+     F_ERROR + "'x'"),
+    (("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1", "--f", "1/4,"),
+     F_ERROR + "''"),
+    (("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/0", "--s", "0.1"),
+     F_ERROR + "'1/0'"),
+    (("exact", "--model", "u1-qubit", "--n", "4", "--na", "2", "--q", "x"),
+     Q_ERROR + "'x'"),
+    (("exact", "--model", "u1-qubit", "--n", "4", "--na", "2", "--q", "1/0"),
+     Q_ERROR + "'1/0'"),
+    (("dims", "--model", "u1-qubit", "--n", "4", "--na", "2", "--q", "1/3"),
+     Q_ERROR + "'1/3'"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     assert main(list(argv)) == EXIT_USAGE

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from chargepage.models import catalog, catalog_names
-from chargepage.sectors import EmptySectorError, block_table, realizable_charges, \
-    sector_dims
-from chargepage.exactavg import digamma_of_big_plus_one, exact_average_entropy
+from chargepage.sectors import BlockTable, EmptySectorError, block_table, \
+    realizable_charges, sector_dims
+from chargepage.exactavg import block_average_entropy, digamma_of_big_plus_one, \
+    exact_average_entropy
 from chargepage.montecarlo import McConfig, run
 
 from conftest import full_space_entropies
@@ -23,6 +24,42 @@ def test_digamma_big_argument_paths():
         got = digamma_of_big_plus_one(d)
         ref = float(mpmath.digamma(d + 1))
         assert abs(got - ref) < 1e-12 * max(1.0, abs(ref)), d
+
+
+E12 = 10**12
+
+
+# (d, b) blocks with d > b, d < b and d == b, and max(d, b) in one range of
+# digamma_of_big_plus_one: below 9, the tail series up to 1e12, the log branch
+# just above it, and both sides of the 1000-bit cut of 1/(2 max). In the
+# lopsided rows log M is far from log m, so taking the wrong one shows.
+@pytest.mark.parametrize("blocks", [
+    pytest.param(((5, 3), (3, 5), (4, 4)), id="below-9"),
+    pytest.param(((10**6 + 1, 999_983), (999_983, 10**6 + 3), (10**6, 10**6)), id="to-1e6"),
+    pytest.param(((E12, E12 - 1), (E12 - 2, E12), (E12, E12)), id="at-1e12"),
+    pytest.param(((E12 + 1, E12 - 1), (E12 - 3, E12 + 5), (E12 + 2, E12 + 2)), id="above-1e12"),
+    pytest.param(((2**999 + 1, 2**999 - 1), (2**999 - 3, 2**999 + 5), (2**999, 2**999)),
+                 id="2^999"),
+    pytest.param(((2**1000 + 1, 2**1000 - 1), (2**1000 - 3, 2**1000 + 5),
+                  (2**1000, 2**1000)), id="2^1000"),
+    pytest.param(((E12 + 1, 2), (3, E12 + 5)), id="above-1e12-lopsided"),
+    pytest.param(((2**1000 + 1, 2), (3, 2**1000 + 5)), id="2^1000-lopsided", marks=pytest.mark.xfail(
+        strict=True, reason="weights exp(log d + log b - log D) carry a relative error of "
+                            "about log(D) * eps: the value 1.609 is off by 5.5e-11")),
+])
+def test_block_average_entropy_matches_the_per_block_page_formula(blocks):
+    # psi(D + 1) - sum (d b / D) [psi(M + 1) + (m - 1) / (2M)], M = max(d, b) and
+    # m = min(d, b), in mpmath at 40 digits on hand-built tables
+    dim = sum(d * b for d, b in blocks)
+    table = BlockTable(catalog("u1-qubit"), 0, 0, 0,
+                       tuple((2 * i, d, b) for i, (d, b) in enumerate(blocks)), dim)
+    with mpmath.workdps(40):
+        big = mpmath.mpf(dim)
+        ref = mpmath.digamma(big + 1) - mpmath.fsum(
+            d * b / big * (mpmath.digamma(max(d, b) + 1)
+                           + mpmath.mpf(min(d, b) - 1) / (2 * max(d, b)))
+            for d, b in blocks)
+    assert abs(block_average_entropy(table).value - ref) < 1e-12 * abs(ref)
 
 
 def test_single_state_sector_has_zero_entropy():
@@ -119,28 +156,42 @@ def test_mean_matches_monte_carlo_on_small_sectors():
         assert abs(mc.mean - exact) < 4 * mc.std_error
 
 
-# Six full-space checks at 20k samples and |z| < 4: a false failure has
-# probability 6.3e-5 each, about 4e-4 over the six.
+# Ten full-space checks at 20k samples and |z| < 4: a false failure has
+# probability 6.3e-5 each, about 6.3e-4 over the ten. Each catalog model is
+# checked at least at the smallest N whose sector has two or more blocks.
 def _full_space_z(model, n, n_a, q2, expected):
     entropies = full_space_entropies(model, n, n_a, q2, np.random.default_rng(7), 20000)
     return (entropies.mean() - expected) / (entropies.std(ddof=1) / math.sqrt(len(entropies)))
 
 
-@pytest.mark.parametrize("n, n_a, q2", [(6, 3, 0), (8, 3, 0), (8, 4, -2)])
-def test_u1_exact_average_is_the_full_space_haar_average(n, n_a, q2):
+@pytest.mark.parametrize("name, n, n_a, q2", [
+    pytest.param("u1-qubit", 6, 3, 0, id="6-3-0"),
+    pytest.param("u1-qubit", 8, 3, 0, id="8-3-0"),
+    pytest.param("u1-qubit", 8, 4, -2, id="8-4--2"),
+    pytest.param("u1-qutrit", 2, 1, 0, id="u1-qutrit-2-1-0"),  # three 1x1 blocks
+    pytest.param("u1-2bosons", 2, 1, 2, id="u1-2bosons-2-1-2"),  # 1x2 and 2x1
+])
+def test_u1_exact_average_is_the_full_space_haar_average(name, n, n_a, q2):
     # for U(1) the blocks are spin-basis blocks: the two entropies are one
-    model = catalog("u1-qubit")
+    model = catalog(name)
     assert abs(_full_space_z(model, n, n_a, q2,
                              exact_average_entropy(model, n, n_a, q2).value)) < 4
 
 
-@pytest.mark.parametrize("n, n_a", [(4, 2), (6, 2), (6, 3)])
-def test_su2_singlet_full_space_average_adds_the_spin_entropy(n, n_a):
+@pytest.mark.parametrize("name, n, n_a", [
+    pytest.param("su2-qubit", 4, 2, id="4-2"),
+    pytest.param("su2-qubit", 6, 2, id="6-2"),
+    pytest.param("su2-qubit", 6, 3, id="6-3"),
+    pytest.param("su2-qutrit", 4, 2, id="su2-qutrit-4-2"),  # j_A = 0, 1, 2
+    pytest.param("su2-trimer", 2, 1, id="su2-trimer-2-1"),  # a 2x2 and a 1x1 block
+])
+def test_su2_singlet_full_space_average_adds_the_spin_entropy(name, n, n_a):
     # a singlet pairs spin j_A of A with spin j_A of the rest maximally, so the
     # spin-basis entropy is the multiplicity-space one plus log(2 j_A + 1),
     # averaged over the block weights d*b/D
-    model = catalog("su2-qubit")
+    model = catalog(name)
     table = block_table(model, n, n_a, 0)
+    assert len(table.blocks) >= 2
     spin = math.fsum(d * b * math.log(qa2 + 1) for qa2, d, b in table.blocks)
     expected = exact_average_entropy(model, n, n_a, 0).value + spin / table.sector_dimension
     assert abs(_full_space_z(model, n, n_a, 0, expected)) < 4

@@ -202,12 +202,28 @@ LATTICE_EXAMPLES = (
     ChargeModel(GroupKind.SU2, {0: 2}),  # a single weight: no lattice step
 )
 
+# the mirrored recurrence and the full one, each with n*top + 1 even and odd
+MIRROR_EXAMPLES = (
+    ChargeModel(GroupKind.U1, {-5: 1, -3: 1, 3: 1, 5: 1}),  # top 5, empty slots inside
+    ChargeModel(GroupKind.U1, {-1: 2, 1: 2}),  # symmetric with a_0 = 2
+    ChargeModel(GroupKind.U1, {-1: 1, 1: 2}),  # symmetric support only: full recurrence
+    ChargeModel(GroupKind.SU2, {1: 1, 3: 2}),  # top 3
+)
+
 
 @settings(max_examples=60, deadline=None)
 @given(model=random_small_models(), n=st.integers(0, 12))
 @example(model=LATTICE_EXAMPLES[0], n=9)
 @example(model=LATTICE_EXAMPLES[1], n=8)
 @example(model=LATTICE_EXAMPLES[2], n=7)
+@example(model=MIRROR_EXAMPLES[0], n=3)
+@example(model=MIRROR_EXAMPLES[0], n=4)
+@example(model=MIRROR_EXAMPLES[1], n=4)
+@example(model=MIRROR_EXAMPLES[1], n=5)
+@example(model=MIRROR_EXAMPLES[2], n=5)
+@example(model=MIRROR_EXAMPLES[2], n=6)
+@example(model=MIRROR_EXAMPLES[3], n=3)
+@example(model=MIRROR_EXAMPLES[3], n=4)
 def test_weight_counts_match_naive_convolution(model, n):
     counts = weight_counts(model, n)
     assert counts == convolution_weight_counts(model, n)
@@ -236,6 +252,11 @@ def test_sector_dims_large_n_closed_forms():
         k = (n - j2) // 2  # C(n, n/2 - j) - C(n, n/2 - j - 1)
         expected[j2] = comb(n, k) - (comb(n, k - 1) if k else 0)
     assert sector_dims(catalog("su2-qubit"), n).dims == expected
+    # weights {0: 1, 2: 2} give (1 + 2x)^n; the trimer's {-3: 1, -1: 3, 1: 3, 3: 1} give (1 + x)^(3n)
+    assert sector_dims(catalog("u1-2bosons"), n).dims == {
+        2 * k: comb(n, k) * 2**k for k in range(n + 1)}
+    assert weight_counts(catalog("su2-trimer"), n) == {
+        2 * k - 3 * n: comb(3 * n, k) for k in range(3 * n + 1)}
 
 
 def test_serialization_decimal_strings():
