@@ -1,10 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: each subcommand checks its flags, makes one library
+call (page-curve and crosscheck go through ``routes``) and prints the result.
 
 Subcommands: dims, thermo, page-curve, exact, mc, crosscheck. Each takes
-exactly one of --model and --model-file, and writes csv or json with the
-same numerical content, always prefixed by a self-describing metadata block
-(model echo, version, seed). The numerical work lives in the library: a
-density is snapped to a charge by ``SectorTable.snap``.
+exactly one of --model and --model-file and writes csv or json with the same
+numbers, after a metadata block (model echo, version, seed).
 
 Exit codes: 0 success, 1 a verification ran and failed (crosscheck), 2 usage
 or domain error (including unreadable or unwritable paths), 3 internal
@@ -23,15 +22,13 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, routes
 from .models import ChargeModel, GroupKind, catalog, catalog_names, \
     charge_str, load_model
-from .sectors import block_table, block_tables, sector_dims
+from .sectors import block_table, sector_dims
 from .thermo import density_interval, thermo_point
-from .asymptotics import Regime, average_entropy_asymptotic, \
-    checked_thermo_point, estimate_at_point
-from .exactavg import ENTROPY, block_average_entropy, exact_average_entropy
-from .montecarlo import McConfig, SectorSizeError, run as mc_run
+from .exactavg import ENTROPY, exact_average_entropy
+from .montecarlo import McConfig, run as mc_run
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -77,9 +74,10 @@ def _parse_fraction(text: str) -> Fraction:
                      f"got {text!r}")
 
 
-def _require(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
+def _require(flag: str, value: int, low: int, high: int | None = None) -> None:
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{flag} must be {bound}, got {value}")
 
 
 def _write(flag: str, path: str, lines) -> None:
@@ -166,47 +164,6 @@ def cmd_thermo(args) -> int:
     return EXIT_OK
 
 
-def _page_rows(model, n, s, fractions, want_exact):
-    """Rows of one page curve and, with ``want_exact``, the exact route's meta.
-
-    beta*(s), the N-body convolution and the charge snap are done once per
-    curve; ``block_tables`` convolves each mirror pair of cuts once.
-    """
-    tp = checked_thermo_point(model, s)
-    cuts = [round(f * n) for f in fractions]
-    exact, meta = {}, {}
-    if want_exact:
-        inner = {n_a for n_a in cuts if 0 < n_a < n}
-        q2 = None  # n < 2 has no cut to snap for
-        if inner:
-            full = sector_dims(model, n)
-            q2 = full.snap(s)
-            exact = {table.n_a: block_average_entropy(table).value
-                     for table in block_tables(full, q2, inner)}
-        bodies = inner | {n - n_a for n_a in inner}
-        meta = {"entropy": ENTROPY, "q_snapped": None if q2 is None else charge_str(q2),
-                "distinct_cuts": len(inner),
-                "convolutions": len(bodies) + 1 if bodies else 0}
-    rows = []
-    for f, n_a in zip(fractions, cuts):
-        est = estimate_at_point(tp, model, f)
-        row = {
-            "f": float(f), "s": s, "n": n, "regime": est.regime.value,
-            "term_N": est.term_N, "term_sqrtN": est.term_sqrtN,
-            "term_O1": est.term_O1, "includes_delta": est.includes_delta,
-            "total": est.total(n),
-        }
-        if want_exact:
-            if n_a in exact:
-                row.update(n_a=n_a, f_exact=n_a / n, q_snapped=meta["q_snapped"],
-                           s_snapped=q2 / (2.0 * n), exact=exact[n_a])
-            else:
-                row.update(n_a="", f_exact="", q_snapped="", s_snapped="",
-                           exact="")
-        rows.append(row)
-    return rows, meta
-
-
 def _plot_svg(rows, path, n):
     xs = [row["f"] for row in rows]
     ys = [row["total"] for row in rows]
@@ -251,7 +208,7 @@ def cmd_page_curve(args) -> int:
         fractions = [_parse_fraction(tok) for tok in args.f.split(",")]
     else:
         fractions = [Fraction(i, points + 1) for i in range(1, points + 1)]
-    rows, exact_meta = _page_rows(model, args.n, args.s, fractions, args.exact)
+    rows, exact_meta = routes.page_curve(model, args.n, args.s, fractions, args.exact)
     meta = {"command": "page-curve", "model": model.as_dict(), "n": args.n,
             "s": args.s, **exact_meta}
     if args.plot:
@@ -276,6 +233,8 @@ def cmd_exact(args) -> int:
 def cmd_mc(args) -> int:
     model = _resolve_model(args)
     q2 = _parse_charge(args.q)
+    _require("--samples", args.samples, 1)
+    _require("--seed", args.seed, 0, 2**64 - 1)
     config = McConfig(model, args.n, args.na, q2, args.samples, args.seed)
     result = mc_run(config)
     meta = {"command": "mc", "model": model.as_dict(), "entropy": ENTROPY, "seed": args.seed,
@@ -302,54 +261,10 @@ def cmd_crosscheck(args) -> int:
     f = _parse_fraction(args.f)
     n_list = _parse_n_list(args.n_list)
     _require("--samples", args.samples, 2)  # one sample has no standard error
+    _require("--seed", args.seed, 0, 2**64 - 1)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-    # the rule page-curve applies; a snapped s on the boundary is a skipped row
-    checked_thermo_point(model, args.s)
-    rows = []
-    for n in n_list:
-        row = {"n": n, "status": "pass"}
-        rows.append(row)
-        n_a = f * n
-        if n_a.denominator != 1:
-            row.update(status="skipped", reason=f"f*n = {n_a} not an integer")
-            continue
-        n_a = int(n_a)
-        full = sector_dims(model, n)
-        q2 = full.snap(args.s)
-        s_snap = q2 / (2.0 * n)
-        row.update(q=charge_str(q2), s_snapped=s_snap)
-        try:
-            est = average_entropy_asymptotic(model, f, s_snap)
-        except ValueError as exc:
-            row.update(status="skipped", reason=str(exc))
-            continue
-        (table,) = block_tables(full, q2, [n_a])
-        res = block_average_entropy(table)
-        total = est.total(n)
-        scale = math.sqrt(n) if est.regime is Regime.F_HALF else float(n)
-        scaled = abs(res.value - total) * scale
-        row.update(exact=res.value, asymptotic=total,
-                   abs_diff=abs(res.value - total), scaled_diff=scaled)
-        if scaled >= args.tol:
-            row["status"] = "fail"
-        try:
-            mc = mc_run(McConfig(model, n, n_a, q2, args.samples, args.seed))
-            if mc.std_error > 0:
-                z = abs(mc.mean - res.value) / mc.std_error
-            else:
-                z = 0.0 if mc.mean == res.value else math.inf
-            row.update(mc_mean=mc.mean, mc_std_error=mc.std_error, z=z)
-            if z >= 4.0:
-                row["status"] = "fail"
-        except SectorSizeError as exc:
-            # a refused Monte Carlo leg does not hide a failed exact leg
-            row.update(mc_mean="", mc_std_error="", z="", reason=str(exc))
-            if row["status"] != "fail":
-                row["status"] = "skipped"
-    keys = ["n", "q", "s_snapped", "exact", "asymptotic", "abs_diff",
-            "scaled_diff", "mc_mean", "mc_std_error", "z", "status", "reason"]
-    rows = [{k: row.get(k, "") for k in keys} for row in rows]
+    rows = routes.crosscheck(model, f, args.s, n_list, args.samples, args.seed, args.tol)
     meta = {"command": "crosscheck", "model": model.as_dict(),
             "f": str(f), "s": args.s, "samples": args.samples,
             "seed": args.seed, "tolerance": args.tol}
