@@ -8,11 +8,28 @@ bidiagonal matrix with diagonal chi_{2M}, ..., chi_{2(M-m+1)} and
 subdiagonal chi_{2(m-1)}, ..., chi_2, and tr T has the law of the block's
 squared norm (the beta = 2 Laguerre model of Dumitriu & Edelman, J. Math.
 Phys. 43, 5830 (2002)). A rank-1 block is one chi^2_{2M} weight. Blocks of
-one (m, M) shape share one batched eigensolve. No amplitude is drawn. For SU(2)
+one (m, M) shape share one batched solve. No amplitude is drawn. For SU(2)
 the entropy is that of the multiplicity-space (block) state, as in exactavg.
 
+A shape group takes its spectra by one of two routes. For m <= 32 and
+m > 128 they are eigvalsh(T). For 32 < m <= 128 they are the squared
+singular values of the upper bidiagonal B^T, from np.linalg.svd(...,
+compute_uv=False). Both routes solve the same draws, and their eigenvalues
+agree within a few ulps of the largest. The bounds are where LAPACK
+(OpenBLAS ships reference LAPACK's ilaenv) changes algorithm. eigvalsh
+(dsyevd -> dsytrd) switches to the blocked Householder reduction above
+n = 32, which does O(m^3) work even on a tridiagonal input. gesdd without
+vectors runs the unblocked dgebd2 up to n = 128. On an upper bidiagonal its
+reflectors are identities (tau = 0, skipped), so the dqds solve (dlasq1)
+dominates at O(m^2). Above 128 the blocked dgebrd costs O(m^3) again.
+Measured per matrix, batched, one BLAS thread (x86-64, median of 7):
+
+    m             32     33     100    127    128    129
+    eigvalsh(T)   31.0   51.6   477    818    775    853   us
+    svd(B^T)      47.7   43.6   375    574    569    994   us
+
 Samples come in chunks of CHUNK. Chunk c draws all its variates, row by row,
-from a generator keyed by (seed, c) before any eigensolve. So the numbers do
+from a generator keyed by (seed, c) before any solve. So the numbers do
 not depend on chunk order, batch size or worker count, and the first k
 samples of a run are those of a k-sample run.
 
@@ -21,8 +38,8 @@ the BLAS count read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
 taken as every usable CPU. So the sampler stays serial while BLAS may use
 all cores, and OPENBLAS_NUM_THREADS=1 lets it use every core. Chunks go in
 waves of one per worker: the wave's draws run in parallel, then each chunk's
-rows are split into one piece per worker for the eigensolves (numpy releases
-the GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool. The
+rows are split into one piece per worker for the solves (numpy releases the
+GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool. The
 workers share the MAX_BATCH_BYTES budget.
 """
 
@@ -41,13 +58,20 @@ from .sectors import block_table
 #: samples per generator
 CHUNK = 512
 #: bytes in flight across all workers: each worker's share holds one chunk's
-#: chi^2 draws plus the T matrices of one batch of rows
+#: chi^2 draws plus the T (or B^T) matrices of one batch of rows
 MAX_BATCH_BYTES = 32 * 2**20
 #: least samples * sum(count * m^3) run on a thread pool. A pool costs about
 #: 1.5-3 ms (thread start, pieces of a few rows contending for the GIL); on a
 #: 2-vCPU x86-64 machine it paid off from about 5e5 at m <= 10 and 9e6 at
-#: m ~ 70, so runs below this floor lose at most a few ms and larger ones gain
+#: m ~ 70, so runs below this floor lose at most a few ms and larger ones gain.
+#: The m^3 weight overstates blocks with SVD_MIN_DIM <= m <= SVD_MAX_DIM, whose
+#: solve costs about m^2; every such run in the benchmark sits far above the
+#: floor, so the rule is left as measured
 MIN_TASK_WORK = 2 * 10**6
+#: the m solved as singular values of B^T rather than eigenvalues of T:
+#: eigvalsh turns to an O(m^3) blocked reduction above m = 32, and gesdd
+#: turns to one above m = 128 (module docstring)
+SVD_MIN_DIM, SVD_MAX_DIM = 33, 128
 
 
 class SectorSizeError(ValueError):
@@ -90,20 +114,38 @@ def _tridiagonal(draws: np.ndarray, m: int) -> np.ndarray:
     return t
 
 
+def _bidiagonal(draws: np.ndarray, m: int) -> np.ndarray:
+    """Upper bidiagonal B^T, with T = B B^T, for rows of [diagonal^2 (m), subdiagonal^2]."""
+    b = np.zeros((len(draws), m, m))
+    i = np.arange(m)
+    b[:, i, i] = np.sqrt(draws[:, :m])
+    b[:, i[:-1], i[1:]] = np.sqrt(draws[:, m:])
+    return b
+
+
+def _spectra(block: np.ndarray, m: int) -> np.ndarray:
+    """Eigenvalues of T, one row per sample row of ``block``, by the route for m."""
+    if m == 1:
+        return block
+    if SVD_MIN_DIM <= m <= SVD_MAX_DIM:
+        return np.linalg.svd(_bidiagonal(block, m), compute_uv=False) ** 2
+    return np.linalg.eigvalsh(_tridiagonal(block, m))
+
+
 def _draw(dof: np.ndarray, seed: int, index: int, rows: int) -> np.ndarray:
     """The chi^2 variates of the first ``rows`` samples of chunk ``index``."""
     return np.random.default_rng((seed, index)).chisquare(dof, size=(rows, dof.size))
 
 
 def _entropies(groups, draws: np.ndarray, batch: int) -> np.ndarray:
-    """Entropies of the sample rows ``draws``, ``batch`` rows per eigensolve."""
+    """Entropies of the sample rows ``draws``, ``batch`` rows per solve."""
     out = np.empty(len(draws))
     for lo in range(0, len(draws), batch):
         hi, weights, col = min(lo + batch, len(draws)), [], 0
         for (m, _), count in groups:
             block = draws[lo:hi, col:col + count * (2 * m - 1)].reshape(-1, 2 * m - 1)
             col += count * (2 * m - 1)
-            weights.append(block if m == 1 else np.linalg.eigvalsh(_tridiagonal(block, m)))
+            weights.append(_spectra(block, m))
         p = np.maximum(np.concatenate([w.reshape(hi - lo, -1) for w in weights], 1), 0.0)
         p /= p.sum(axis=1, keepdims=True)
         out[lo:hi] = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
@@ -167,6 +209,7 @@ def run(config: McConfig) -> McRun:
             entropies = sample(pool.map)
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
+            "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),
             "max_min_dim": groups[-1][0][0], "workers": workers,
             "batch_bytes": workers * (draw_bytes + batch * row_bytes)}
     return McRun(entropies, float(np.mean(entropies)),

@@ -298,11 +298,23 @@ def test_mc_meta_reports_sampler_plan(capsys):
     # blocks 2x9, 3x19 and 1x15: three shapes, largest min(d, b) = 3
     assert meta["sampler"] == "laguerre-bidiagonal"
     assert meta["shape_groups"] == 3
+    assert meta["svd_groups"] == 0  # every block has m <= 32
     assert meta["max_min_dim"] == 3
     assert meta["chunk"] >= 1
     # 20 rows of 2*(1+2+3)-3 = 9 draws plus 20 rows of 1+4+9 = 14 matrix entries
     assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * 20 * 14
     assert meta["workers"] == 1  # far below the work floor
+
+
+def test_mc_meta_counts_the_shape_groups_solved_by_svd(capsys):
+    code, out = invoke(capsys, "mc", "--model", "u1-qubit", "--n", "14", "--na", "7",
+                       "--q", "0", "--samples", "5", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    # blocks 1x1, 7x7, 21x21 and 35x35, two of each: only m = 35 lies in 33..128
+    assert meta["shape_groups"] == 4
+    assert meta["svd_groups"] == 1
+    assert meta["max_min_dim"] == 35
 
 
 def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):

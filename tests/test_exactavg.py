@@ -195,3 +195,27 @@ def test_su2_singlet_full_space_average_adds_the_spin_entropy(name, n, n_a):
     spin = math.fsum(d * b * math.log(qa2 + 1) for qa2, d, b in table.blocks)
     expected = exact_average_entropy(model, n, n_a, 0).value + spin / table.sector_dimension
     assert abs(_full_space_z(model, n, n_a, 0, expected)) < 4
+
+
+# The j > 0 gap of ROADMAP direction 1, measured: in the highest-weight state
+# m = j the spin-basis entropy lies far above the multiplicity-space value
+# that all three routes compute, and it is not the singlet's edge term. The
+# recorded full-space means are rounded to 0.0005; 200k-sample runs gave
+# 1.2530, 1.9313 and 1.3311, each +- 0.0003. Against those, |mean - recorded|
+# < 4 se + 0.0005 at 4000 samples fails with probability about 3e-4 over
+# the three rows.
+@pytest.mark.parametrize("n, n_a, q2, full_space, code", [
+    pytest.param(6, 3, 2, 1.254, 0.885, id="6-3-j1"),
+    pytest.param(8, 4, 2, 1.932, 1.519, id="8-4-j1"),
+    pytest.param(8, 3, 4, 1.330, 0.942, id="8-3-j2"),
+])
+def test_su2_full_space_entropy_at_positive_spin_is_the_recorded_gap(n, n_a, q2,
+                                                                     full_space, code):
+    model = catalog("su2-qubit")
+    entropies = full_space_entropies(model, n, n_a, q2, np.random.default_rng(7), 4000)
+    mean = entropies.mean()
+    se = entropies.std(ddof=1) / math.sqrt(len(entropies))
+    value = exact_average_entropy(model, n, n_a, q2).value
+    assert abs(value - code) < 0.0005
+    assert abs(mean - full_space) < 4 * se + 0.0005
+    assert mean - value > 10 * se

@@ -63,17 +63,37 @@ def test_run_prefix_stable_and_chunk_order_free(monkeypatch):
 
 
 def test_batch_size_does_not_change_numbers(monkeypatch):
-    config = McConfig(catalog("u1-qubit"), 10, 5, 0, CHUNK + 100, 31)
-    reference = run(config)
-    blocks = block_table(config.model, 10, 5, 0).blocks
-    draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
-    row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
-    # room for the chunk's draws and three rows of eigensolve matrices
-    monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", draw_bytes + 3 * row_bytes + 7)
-    small = run(config)
-    assert small.plan["batch_bytes"] == draw_bytes + 3 * row_bytes
-    assert reference.plan["batch_bytes"] == draw_bytes + CHUNK * row_bytes
-    assert np.array_equal(small.entropies, reference.entropies)
+    for n in (10, 14):  # N = 14: two 35x35 blocks, solved as singular values of B^T
+        config = McConfig(catalog("u1-qubit"), n, n // 2, 0, CHUNK + 100, 31)
+        reference = run(config)
+        blocks = block_table(config.model, n, n // 2, 0).blocks
+        draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
+        row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
+        # room for the chunk's draws and three rows of matrices
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "MAX_BATCH_BYTES", draw_bytes + 3 * row_bytes + 7)
+            small = run(config)
+        assert small.plan["batch_bytes"] == draw_bytes + 3 * row_bytes
+        assert reference.plan["batch_bytes"] == draw_bytes + CHUNK * row_bytes
+        assert np.array_equal(small.entropies, reference.entropies)
+
+
+def test_svd_route_covers_exactly_the_blocks_from_33_to_128():
+    # inside the window the spectra are the squared singular values of B^T
+    # and agree with eigvalsh(T) on the same draws within 1e-13 of the
+    # largest eigenvalue; just outside it they are eigvalsh(T), byte for byte
+    for m in (32, 33, 70, 128, 129):
+        dof = 2.0 * np.r_[m + 7 - np.arange(m), np.arange(m - 1, 0, -1)]
+        block = montecarlo._draw(dof, m, 0, 6)
+        spectra = montecarlo._spectra(block, m)
+        eigenvalues = np.linalg.eigvalsh(montecarlo._tridiagonal(block, m))
+        if m in (32, 129):
+            assert spectra.tobytes() == eigenvalues.tobytes()
+            continue
+        svd = np.linalg.svd(montecarlo._bidiagonal(block, m), compute_uv=False) ** 2
+        assert spectra.tobytes() == svd.tobytes()
+        scale = eigenvalues[:, -1:]
+        assert np.all(np.abs(np.sort(spectra, axis=1) - eigenvalues) <= 1e-13 * scale)
 
 
 def test_schmidt_weights_normalized_per_sample():
@@ -124,6 +144,17 @@ def test_mean_agrees_with_exact_formula():
         exact = exact_average_entropy(model, n, n_a, q2).value
         mc = run(McConfig(model, n, n_a, q2, 20000, 424242))
         assert abs(mc.mean - exact) < 4 * mc.std_error
+
+
+def test_svd_route_mean_agrees_with_exact_formula():
+    # u1-qubit N = 14 at the half cut has two 35x35 blocks; no other test
+    # compares the sampler with the exact formula on a block wider than 24.
+    # |z| < 4 fails a correct sampler with probability 6.3e-5 over seeds
+    model = catalog("u1-qubit")
+    mc = run(McConfig(model, 14, 7, 0, 4000, 1729))
+    assert mc.plan["svd_groups"] == 1
+    exact = exact_average_entropy(model, 14, 7, 0).value
+    assert abs(mc.mean - exact) < 4 * mc.std_error
 
 
 def test_u1_subsystem_swap_leaves_distribution_unchanged():
@@ -190,6 +221,7 @@ def force_workers(monkeypatch, cpus):
 @pytest.mark.parametrize("config", [
     McConfig(catalog("su2-trimer"), 4, 2, 2, 2 * CHUNK + 37, 77),  # three chunks
     McConfig(catalog("u1-qubit"), 12, 6, 0, 300, 2**63 + 5),  # one chunk
+    McConfig(catalog("u1-qubit"), 14, 7, 0, 300, 5),  # two 35x35 blocks: the SVD route
 ])
 def test_worker_count_does_not_change_numbers(monkeypatch, config):
     force_workers(monkeypatch, 1)
