@@ -8,7 +8,7 @@ bidiagonal matrix with diagonal chi_{2M}, ..., chi_{2(M-m+1)} and
 subdiagonal chi_{2(m-1)}, ..., chi_2, and tr T has the law of the block's
 squared norm (the beta = 2 Laguerre model of Dumitriu & Edelman, J. Math.
 Phys. 43, 5830 (2002)). A rank-1 block is one chi^2_{2M} weight. Blocks of
-one (m, M) shape share one batched solve. No amplitude is drawn. For SU(2)
+one (m, M) shape share batched solves. No amplitude is drawn. For SU(2)
 the entropy is that of the multiplicity-space (block) state, as in exactavg.
 
 A shape group takes its spectra by one of two routes. For m <= 32 and
@@ -39,8 +39,17 @@ taken as every usable CPU. So the sampler stays serial while BLAS may use
 all cores, and OPENBLAS_NUM_THREADS=1 lets it use every core. Chunks go in
 waves of one per worker: the wave's draws run in parallel, then each chunk's
 rows are split into one piece per worker for the solves (numpy releases the
-GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool. The
-workers share the MAX_BATCH_BYTES budget.
+GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool.
+
+Memory is bounded twice. Admission: a sector is refused unless one sample
+row, one chunk's chi^2 draws plus one row's dense matrices (8 m^2 bytes per
+block), fits MAX_BATCH_BYTES. In flight: each worker holds one chunk's
+draws, the Schmidt weights and logs of one batch of rows (8 m bytes each per
+block), and one solve slice of at most SOLVE_BYTES of matrices (one matrix
+if that is larger), never the dense matrices of a whole batch. The workers
+share MAX_BATCH_BYTES. A batch is sized as if its rows still held their
+matrices too, so the sum fits the share, and McRun.plan["batch_bytes"]
+reports it.
 """
 
 from __future__ import annotations
@@ -57,9 +66,17 @@ from .sectors import block_table
 
 #: samples per generator
 CHUNK = 512
-#: bytes in flight across all workers: each worker's share holds one chunk's
-#: chi^2 draws plus the T (or B^T) matrices of one batch of rows
+#: admission: one chunk's chi^2 draws plus one row of T (or B^T) matrices
+#: must fit. In flight: the workers share it, each holding one chunk's draws,
+#: one batch of rows' weights and logs, and one solve slice
 MAX_BATCH_BYTES = 32 * 2**20
+#: bytes of dense matrices per solve call. A swept cap, in-process work_per_s
+#: on the benchmark's mc_large_sectors (2-vCPU x86-64, two workers, one BLAS
+#: thread, three sweeps): 256 KiB 1354-1541 /s, 512 KiB 2385-2551, 1 MiB
+#: 2417-2674, 2 MiB 2441-2471, 4 MiB 2408-2458, a whole batch per call
+#: 2380-2469. VmHWM 40.0, 40.3-40.9, 41.2-42.0, 44.0, 54.3 and 67.0 MiB. At
+#: 256 KiB two workers ran no faster than one (1590 /s serial), not understood
+SOLVE_BYTES = 2**20
 #: least samples * sum(count * m^3) run on a thread pool. A pool costs about
 #: 1.5-3 ms (thread start, pieces of a few rows contending for the GIL); on a
 #: 2-vCPU x86-64 machine it paid off from about 5e5 at m <= 10 and 9e6 at
@@ -137,18 +154,33 @@ def _draw(dof: np.ndarray, seed: int, index: int, rows: int) -> np.ndarray:
     return np.random.default_rng((seed, index)).chisquare(dof, size=(rows, dof.size))
 
 
+def _solve_step(m: int) -> int:
+    """Matrices per solve call for blocks of width m: at most SOLVE_BYTES, at least one."""
+    return max(1, SOLVE_BYTES // (8 * m * m))
+
+
 def _entropies(groups, draws: np.ndarray, batch: int) -> np.ndarray:
-    """Entropies of the sample rows ``draws``, ``batch`` rows per solve."""
+    """Entropies of the sample rows ``draws``, ``batch`` rows at a time.
+
+    Each shape group of a batch is solved _solve_step(m) matrices per call,
+    so only one slice of dense matrices is alive at once.
+    """
     out = np.empty(len(draws))
     for lo in range(0, len(draws), batch):
         hi, weights, col = min(lo + batch, len(draws)), [], 0
         for (m, _), count in groups:
             block = draws[lo:hi, col:col + count * (2 * m - 1)].reshape(-1, 2 * m - 1)
             col += count * (2 * m - 1)
-            weights.append(_spectra(block, m))
-        p = np.maximum(np.concatenate([w.reshape(hi - lo, -1) for w in weights], 1), 0.0)
+            w, step = np.empty((len(block), m)), _solve_step(m)
+            for i in range(0, len(block), step):
+                w[i:i + step] = _spectra(block[i:i + step], m)
+            weights.append(w.reshape(hi - lo, -1))
+        p = np.concatenate(weights, 1)
+        del weights
+        np.maximum(p, 0.0, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        out[lo:hi] = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+        logs = np.log(p, out=np.zeros_like(p), where=p > 0)
+        out[lo:hi] = -np.multiply(p, logs, out=logs).sum(axis=1)
     return out
 
 
@@ -172,6 +204,7 @@ def run(config: McConfig) -> McRun:
     chunk = min(CHUNK, config.samples)
     draw_bytes = 8 * chunk * sum(count * (2 * m - 1) for (m, _), count in groups)
     row_bytes = 8 * sum(count * m * m for (m, _), count in groups)
+    weight_bytes = 16 * sum(count * m for (m, _), count in groups)  # weights and logs
     if max(big for (_, big), _ in groups) > 2**1000:
         raise SectorSizeError("a block dimension over 2^1000 overflows the chi^2 draws")
     fit = MAX_BATCH_BYTES // (draw_bytes + row_bytes)
@@ -185,7 +218,10 @@ def run(config: McConfig) -> McRun:
     # unset, BLAS may take every core: no room for our threads
     workers = max(1, min(cpus // (_blas_threads() or cpus), chunk, work // MIN_TASK_WORK,
                          fit))
-    batch = min(chunk, (MAX_BATCH_BYTES // workers - draw_bytes) // row_bytes)
+    # a row is sized with its matrices, so that the weights of a batch and its
+    # one slice of matrices, no more than the batch's matrices, fit the share
+    batch = max(1, min(chunk, (MAX_BATCH_BYTES // workers - draw_bytes)
+                       // (row_bytes + weight_bytes)))
     dof = np.concatenate([
         np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
         for (m, big), count in groups])
@@ -208,9 +244,12 @@ def run(config: McConfig) -> McRun:
         with ThreadPoolExecutor(workers) as pool:
             entropies = sample(pool.map)
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
+    # per worker: one chunk's draws, a batch of Schmidt weights and their
+    # logs, and the largest slice of matrices a solve call holds
+    slice_bytes = max(8 * m * m * min(batch * count, _solve_step(m)) for (m, _), count in groups)
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),
             "max_min_dim": groups[-1][0][0], "workers": workers,
-            "batch_bytes": workers * (draw_bytes + batch * row_bytes)}
+            "batch_bytes": workers * (draw_bytes + batch * weight_bytes + slice_bytes)}
     return McRun(entropies, float(np.mean(entropies)),
                  math.sqrt(var / config.samples), var, plan)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .models import ChargeModel, GroupKind, lattice_step, weight_multiplicities
+from .models import ChargeModel, GroupKind, charge_str, lattice_step, weight_multiplicities
 
 
 class EmptySectorError(ValueError):
@@ -49,7 +49,7 @@ class SectorTable:
         """D_q of doubled charge ``q_total``; an unrealizable charge is an error."""
         if self.dims.get(q_total, 0) < 1:
             raise EmptySectorError(
-                f"charge {q_total}/2 (doubled {q_total}) is not realizable for "
+                f"charge {charge_str(q_total)} (doubled {q_total}) is not realizable for "
                 f"{self.model.name or self.model.group.value} with n = {self.n}"
             )
         return self.dims[q_total]
@@ -133,6 +133,8 @@ def sector_dims(model: ChargeModel, n: int) -> SectorTable:
 
 
 def _check_cut(n_total: int, n_a: int) -> None:
+    if n_total < 2:
+        raise ValueError(f"n = {n_total} has no bipartition: a cut needs n >= 2")
     if not 1 <= n_a <= n_total - 1:
         raise ValueError(f"n_a = {n_a} must satisfy 1 <= n_a <= {n_total - 1}")
 

@@ -301,8 +301,9 @@ def test_mc_meta_reports_sampler_plan(capsys):
     assert meta["svd_groups"] == 0  # every block has m <= 32
     assert meta["max_min_dim"] == 3
     assert meta["chunk"] >= 1
-    # 20 rows of 2*(1+2+3)-3 = 9 draws plus 20 rows of 1+4+9 = 14 matrix entries
-    assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * 20 * 14
+    # 20 rows of 2*(1+2+3)-3 = 9 draws, 20 rows of 1+2+3 = 6 Schmidt weights
+    # and their logs, and one slice of 20 3x3 matrices
+    assert meta["batch_bytes"] == 8 * 20 * 9 + 2 * 8 * 20 * 6 + 8 * 20 * 9
     assert meta["workers"] == 1  # far below the work floor
 
 
@@ -326,8 +327,9 @@ def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
     assert code == 0
     meta = json.loads(out)["meta"]
     assert meta["workers"] == 3
-    # each worker's share holds the chunk's draws and all 20 rows of matrices
-    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 8 * 20 * 14)
+    # each worker holds the chunk's draws, the weights and logs of all 20 rows
+    # and one slice of 20 3x3 matrices
+    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 2 * 8 * 20 * 6 + 8 * 20 * 9)
     assert meta["batch_bytes"] <= montecarlo.MAX_BATCH_BYTES
 
 
@@ -536,6 +538,10 @@ SEED_ERROR = "--seed must be in [0, 18446744073709551615], got "
       "--seed", str(2**64)), SEED_ERROR + str(2**64)),
     (("mc", "--model", "u1-qubit", "--n", "4", "--na", "2", "--q", "0", "--samples", "0"),
      "--samples must be >= 1, got 0"),
+    (("mc", "--model", "u1-qubit", "--n", "1", "--na", "1", "--q", "1/2"),
+     "n = 1 has no bipartition: a cut needs n >= 2"),
+    (("exact", "--model", "u1-qutrit", "--n", "10", "--na", "3", "--q", "99"),
+     "charge 99 (doubled 198) is not realizable for u1-qutrit with n = 10"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     assert main(list(argv)) == EXIT_USAGE
@@ -547,7 +553,7 @@ def test_usage_errors_name_the_problem(capsys, argv, message):
 def test_unrealizable_charge_message_names_the_model_at_every_cut(capsys, n_a):
     assert main(["exact", "--model", "u1-qutrit", "--n", "10", "--na", str(n_a),
                  "--q", "99"]) == EXIT_USAGE
-    assert capsys.readouterr().err == ("chargepage: error: charge 198/2 (doubled 198) "
+    assert capsys.readouterr().err == ("chargepage: error: charge 99 (doubled 198) "
                                        "is not realizable for u1-qutrit with n = 10\n")
 
 

@@ -62,19 +62,36 @@ def test_run_prefix_stable_and_chunk_order_free(monkeypatch):
     assert np.array_equal(run(config).entropies, full)
 
 
+def byte_counts(blocks):
+    """One chunk's draw bytes, one row's matrix bytes and one row's weight-and-log bytes."""
+    draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
+    row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
+    weight_bytes = 2 * 8 * sum(min(d, b) for _, d, b in blocks)
+    return draw_bytes, row_bytes, weight_bytes
+
+
 def test_batch_size_does_not_change_numbers(monkeypatch):
-    for n in (10, 14):  # N = 14: two 35x35 blocks, solved as singular values of B^T
+    # N = 10: blocks 1x1, 5x5 and 10x10, two of each; N = 14: 1x1, 7x7, 21x21
+    # and 35x35, two of each, the 35x35 solved as singular values of B^T.
+    # The largest solve slice of a CHUNK-row batch: all 1024 10x10 matrices
+    # at N = 10, and 297 21x21 matrices, the most under SOLVE_BYTES, at N = 14
+    assert montecarlo.SOLVE_BYTES == 2**20
+    force_workers(monkeypatch, 1)
+    for n, width, full_slice in ((10, 10, 2 * CHUNK * 8 * 10**2), (14, 35, 297 * 8 * 21**2)):
         config = McConfig(catalog("u1-qubit"), n, n // 2, 0, CHUNK + 100, 31)
         reference = run(config)
-        blocks = block_table(config.model, n, n // 2, 0).blocks
-        draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
-        row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
-        # room for the chunk's draws and three rows of matrices
+        draw_bytes, row_bytes, weight_bytes = byte_counts(
+            block_table(config.model, n, n // 2, 0).blocks)
+        # room for the chunk's draws and three rows of matrices and weights;
+        # the widest group of three rows is one slice
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "MAX_BATCH_BYTES", draw_bytes + 3 * row_bytes + 7)
+            patch.setattr(montecarlo, "MAX_BATCH_BYTES",
+                          draw_bytes + 3 * (row_bytes + weight_bytes) + 7)
             small = run(config)
-        assert small.plan["batch_bytes"] == draw_bytes + 3 * row_bytes
-        assert reference.plan["batch_bytes"] == draw_bytes + CHUNK * row_bytes
+        assert small.plan["batch_bytes"] == (draw_bytes + 3 * weight_bytes
+                                             + 3 * 2 * 8 * width**2)
+        assert reference.plan["batch_bytes"] == (draw_bytes + CHUNK * weight_bytes
+                                                 + full_slice)
         assert np.array_equal(small.entropies, reference.entropies)
 
 
@@ -238,9 +255,7 @@ def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
     # two chunks, and a budget that holds a few rows of T matrices per worker
     config = McConfig(catalog("u1-qubit"), 10, 5, 0, CHUNK + 100, 31)
     reference = run(config)
-    blocks = block_table(config.model, 10, 5, 0).blocks
-    draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
-    row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
+    draw_bytes, row_bytes, weight_bytes = byte_counts(block_table(config.model, 10, 5, 0).blocks)
     budget = 3 * (draw_bytes + 4 * row_bytes)
     monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
     batches = []
@@ -252,10 +267,12 @@ def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
         force_workers(monkeypatch, workers)
         batches.clear()
         result = run(config)
-        batch = (budget // workers - draw_bytes) // row_bytes
+        batch = (budget // workers - draw_bytes) // (row_bytes + weight_bytes)
         assert result.plan["workers"] == workers
         assert set(batches) == {batch} and batch < CHUNK // workers
-        assert result.plan["batch_bytes"] == workers * (draw_bytes + batch * row_bytes)
+        # the widest group, two 10x10 blocks per row, fits one slice
+        assert result.plan["batch_bytes"] == workers * (draw_bytes + batch * weight_bytes
+                                                        + batch * 2 * 8 * 10**2)
         assert result.plan["batch_bytes"] <= budget
         assert result.entropies.tobytes() == reference.entropies.tobytes()
 
@@ -336,6 +353,44 @@ def test_parallel_run_shares_the_batch_budget(monkeypatch):
     assert result.plan["workers"] == 2
     assert result.plan["batch_bytes"] <= budget
     assert peak <= budget + budget // 8
+
+
+@pytest.mark.parametrize("n, samples, workers", [
+    (14, 2 * CHUNK, 1),
+    (14, 2 * CHUNK, 2),
+    (18, 100, 2),  # two 126x126 blocks: eight matrices per solve slice
+    (22, 4, 1),  # two 462x462 blocks: one 1.7 MB matrix, over SOLVE_BYTES
+])
+def test_batch_bytes_reports_what_a_run_holds(monkeypatch, n, samples, workers):
+    # the reported bytes in flight, and tracemalloc's peak, at the default
+    # budget: tracemalloc sees numpy's array buffers, not LAPACK's workspace
+    force_workers(monkeypatch, workers)
+    config = McConfig(catalog("u1-qubit"), n, n // 2, 0, samples, 1)
+    run(replace(config, samples=2))  # first-use allocations of numpy's generator
+    tracemalloc.start()
+    try:
+        result = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.plan["workers"] == workers
+    held = result.plan["batch_bytes"]
+    assert held / 2 <= peak <= held + held // 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_solve_slice_size_does_not_change_numbers(monkeypatch, workers):
+    # one matrix per solve call, and the whole batch in one call, against the
+    # default slices: eigvalsh at m = 10, the SVD route at m = 35, and
+    # eigvalsh again at m = 252
+    force_workers(monkeypatch, workers)
+    for n, samples in ((10, CHUNK + 100), (14, 300), (20, 6)):
+        config = McConfig(catalog("u1-qubit"), n, n // 2, 0, samples, 97)
+        reference = run(config).entropies.tobytes()
+        for solve_bytes in (1, 2**62):
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "SOLVE_BYTES", solve_bytes)
+                assert run(config).entropies.tobytes() == reference
 
 
 def test_block_dimension_beyond_float_range_refused():
