@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -87,6 +88,21 @@ def _write(flag: str, path: str, lines) -> None:
             fh.writelines(lines)
     except OSError as exc:
         raise ValueError(f"{flag}: cannot write {path!r}: {exc.strerror}") from exc
+
+
+def _check_writable(args) -> None:
+    """Refuse an unwritable --out, --dump or --plot before any work, creating no file."""
+    for flag in ("--out", "--dump", "--plot"):
+        path = getattr(args, flag[2:], None)
+        if not path:
+            continue
+        parent = os.path.dirname(path) or "."
+        reason = ("Is a directory" if os.path.isdir(path)
+                  else "No such file or directory" if not os.path.isdir(parent)
+                  else "" if os.access(path if os.path.exists(path) else parent, os.W_OK)
+                  else "Permission denied")
+        if reason:
+            raise ValueError(f"{flag}: cannot write {path!r}: {reason}")
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -358,6 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_writable(args)
         return args.func(args)
     except ValueError as exc:
         print(f"chargepage: error: {exc}", file=sys.stderr)

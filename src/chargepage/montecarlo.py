@@ -1,15 +1,16 @@
 """Monte Carlo over Haar-random pure states of fixed charge.
 
 The entropy of a Haar-random sector state depends only on its Schmidt
-spectrum: the squared singular values of each complex Gaussian d x b block,
-normalized over all blocks. With m = min(d, b) and M = max(d, b) they have
-the law of the eigenvalues of T = B B^T, where B is the real m x m lower
-bidiagonal matrix with diagonal chi_{2M}, ..., chi_{2(M-m+1)} and
-subdiagonal chi_{2(m-1)}, ..., chi_2, and tr T has the law of the block's
-squared norm (the beta = 2 Laguerre model of Dumitriu & Edelman, J. Math.
-Phys. 43, 5830 (2002)). A rank-1 block is one chi^2_{2M} weight. Blocks of
-one (m, M) shape share batched solves. No amplitude is drawn. For SU(2)
-the entropy is that of the multiplicity-space (block) state, as in exactavg.
+spectrum, the squared singular values lambda of each complex Gaussian d x b
+block: S = (Z log Z - L) / Z with Z = sum lambda and L = sum lambda log
+lambda over all blocks, so no spectrum is normalized. With m = min(d, b) and
+M = max(d, b) they have the law of the eigenvalues of T = B B^T, where B is
+the real m x m lower bidiagonal matrix with diagonal chi_{2M}, ...,
+chi_{2(M-m+1)} and subdiagonal chi_{2(m-1)}, ..., chi_2, and tr T has the law
+of the block's squared norm (the beta = 2 Laguerre model of Dumitriu &
+Edelman, J. Math. Phys. 43, 5830 (2002)). A rank-1 block is one chi^2_{2M}
+weight, and blocks of one (m, M) shape share batched solves. For SU(2) the
+entropy is that of the multiplicity-space (block) state, as in exactavg.
 
 A shape group takes its spectra by one of two routes. For m <= 32 and
 m > 128 they are eigvalsh(T). For 32 < m <= 128 they are the squared
@@ -30,7 +31,7 @@ Measured per matrix, batched, one BLAS thread (x86-64, median of 7):
 
 Samples come in chunks of CHUNK. Chunk c draws all its variates, row by row,
 from a generator keyed by (seed, c) before any solve. So the numbers do
-not depend on chunk order, batch size or worker count, and the first k
+not depend on chunk order, solve call size or worker count, and the first k
 samples of a run are those of a k-sample run.
 
 A run spreads over a thread pool of (usable CPUs) // (BLAS threads) workers,
@@ -41,15 +42,13 @@ waves of one per worker: the wave's draws run in parallel, then each chunk's
 rows are split into one piece per worker for the solves (numpy releases the
 GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool.
 
-Memory is bounded twice. Admission: a sector is refused unless one sample
-row, one chunk's chi^2 draws plus one row's dense matrices (8 m^2 bytes per
-block), fits MAX_BATCH_BYTES. In flight: each worker holds one chunk's
-draws, the Schmidt weights and logs of one batch of rows (8 m bytes each per
-block), and one solve slice of at most SOLVE_BYTES of matrices (one matrix
-if that is larger), never the dense matrices of a whole batch. The workers
-share MAX_BATCH_BYTES. A batch is sized as if its rows still held their
-matrices too, so the sum fits the share, and McRun.plan["batch_bytes"]
-reports it.
+Memory: the workers share MAX_BATCH_BYTES. A sector is admitted only if one
+sample row fits it: one chunk's chi^2 draws plus one row's dense matrices
+(8 m^2 bytes per block). In flight, each worker holds one chunk's draws and
+one solve call: a whole number of rows of one shape group, at most
+min(SOLVE_BYTES, share - draws) bytes of matrices, copied draws, spectra and
+temporaries, or one row where that is larger. McRun.plan["batch_bytes"]
+reports workers x (draws + the largest call).
 """
 
 from __future__ import annotations
@@ -66,16 +65,13 @@ from .sectors import block_table
 
 #: samples per generator
 CHUNK = 512
-#: admission: one chunk's chi^2 draws plus one row of T (or B^T) matrices
-#: must fit. In flight: the workers share it, each holding one chunk's draws,
-#: one batch of rows' weights and logs, and one solve slice
+#: the sampler budget. Admission: one chunk's chi^2 draws plus one row of T
+#: (or B^T) matrices must fit. In flight: the workers share it, each holding
+#: one chunk's draws and one solve call
 MAX_BATCH_BYTES = 32 * 2**20
-#: bytes of dense matrices per solve call. A swept cap, in-process work_per_s
-#: on the benchmark's mc_large_sectors (2-vCPU x86-64, two workers, one BLAS
-#: thread, three sweeps): 256 KiB 1354-1541 /s, 512 KiB 2385-2551, 1 MiB
-#: 2417-2674, 2 MiB 2441-2471, 4 MiB 2408-2458, a whole batch per call
-#: 2380-2469. VmHWM 40.0, 40.3-40.9, 41.2-42.0, 44.0, 54.3 and 67.0 MiB. At
-#: 256 KiB two workers ran no faster than one (1590 /s serial), not understood
+#: bytes per solve call (matrices, draws, spectra, temporaries) unless one row
+#: takes more. On mc_large_sectors 512 KiB to 2 MiB of matrices per call ran
+#: equally fast, 256 KiB slower, and more only raised the peak (ROADMAP)
 SOLVE_BYTES = 2**20
 #: least samples * sum(count * m^3) run on a thread pool. A pool costs about
 #: 1.5-3 ms (thread start, pieces of a few rows contending for the GIL); on a
@@ -154,34 +150,20 @@ def _draw(dof: np.ndarray, seed: int, index: int, rows: int) -> np.ndarray:
     return np.random.default_rng((seed, index)).chisquare(dof, size=(rows, dof.size))
 
 
-def _solve_step(m: int) -> int:
-    """Matrices per solve call for blocks of width m: at most SOLVE_BYTES, at least one."""
-    return max(1, SOLVE_BYTES // (8 * m * m))
-
-
-def _entropies(groups, draws: np.ndarray, batch: int) -> np.ndarray:
-    """Entropies of the sample rows ``draws``, ``batch`` rows at a time.
-
-    Each shape group of a batch is solved _solve_step(m) matrices per call,
-    so only one slice of dense matrices is alive at once.
-    """
-    out = np.empty(len(draws))
-    for lo in range(0, len(draws), batch):
-        hi, weights, col = min(lo + batch, len(draws)), [], 0
-        for (m, _), count in groups:
-            block = draws[lo:hi, col:col + count * (2 * m - 1)].reshape(-1, 2 * m - 1)
-            col += count * (2 * m - 1)
-            w, step = np.empty((len(block), m)), _solve_step(m)
-            for i in range(0, len(block), step):
-                w[i:i + step] = _spectra(block[i:i + step], m)
-            weights.append(w.reshape(hi - lo, -1))
-        p = np.concatenate(weights, 1)
-        del weights
-        np.maximum(p, 0.0, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        logs = np.log(p, out=np.zeros_like(p), where=p > 0)
-        out[lo:hi] = -np.multiply(p, logs, out=logs).sum(axis=1)
-    return out
+def _entropies(groups, draws: np.ndarray, steps) -> np.ndarray:
+    """Entropies of the sample rows ``draws`` from running sums of Z and L per row,
+    solving shape group i ``steps[i]`` rows per call. Spectra are clamped to the
+    least normal float, so lambda log lambda needs no mask."""
+    z, logs, col = np.zeros(len(draws)), np.zeros(len(draws)), 0
+    for ((m, _), count), step in zip(groups, steps):
+        for lo in range(0, len(draws), step):
+            rows = draws[lo:lo + step, col:col + count * (2 * m - 1)]
+            lam = np.maximum(_spectra(rows.reshape(-1, 2 * m - 1), m), np.finfo(float).tiny)
+            lam = lam.reshape(len(rows), -1)
+            z[lo:lo + step] += lam.sum(axis=1)
+            logs[lo:lo + step] += (lam * np.log(lam)).sum(axis=1)
+        col += count * (2 * m - 1)
+    return (z * np.log(z) - logs) / z
 
 
 def _usable_cpus() -> int:
@@ -204,7 +186,6 @@ def run(config: McConfig) -> McRun:
     chunk = min(CHUNK, config.samples)
     draw_bytes = 8 * chunk * sum(count * (2 * m - 1) for (m, _), count in groups)
     row_bytes = 8 * sum(count * m * m for (m, _), count in groups)
-    weight_bytes = 16 * sum(count * m for (m, _), count in groups)  # weights and logs
     if max(big for (_, big), _ in groups) > 2**1000:
         raise SectorSizeError("a block dimension over 2^1000 overflows the chi^2 draws")
     fit = MAX_BATCH_BYTES // (draw_bytes + row_bytes)
@@ -212,16 +193,17 @@ def run(config: McConfig) -> McRun:
         raise SectorSizeError(
             f"one sample row needs {draw_bytes + row_bytes} bytes ({draw_bytes} of chi^2 "
             f"draws for {chunk} rows, {row_bytes} of eigensolve matrices), over the "
-            f"{MAX_BATCH_BYTES}-byte batch budget")
+            f"{MAX_BATCH_BYTES}-byte sampler budget")
     cpus = _usable_cpus()
     work = config.samples * sum(count * m**3 for (m, _), count in groups)
     # unset, BLAS may take every core: no room for our threads
     workers = max(1, min(cpus // (_blas_threads() or cpus), chunk, work // MIN_TASK_WORK,
                          fit))
-    # a row is sized with its matrices, so that the weights of a batch and its
-    # one slice of matrices, no more than the batch's matrices, fit the share
-    batch = max(1, min(chunk, (MAX_BATCH_BYTES // workers - draw_bytes)
-                       // (row_bytes + weight_bytes)))
+    # each worker holds one chunk's draws and one solve call of whole rows; per
+    # block a row holds its matrix, 2m - 1 copied draws and ~3m temporaries
+    cap = min(SOLVE_BYTES, MAX_BATCH_BYTES // workers - draw_bytes)
+    per_row = [8 * count * (m * m + 5 * m) for (m, _), count in groups]
+    steps = [max(1, cap // row) for row in per_row]
     dof = np.concatenate([
         np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
         for (m, big), count in groups])
@@ -232,7 +214,7 @@ def run(config: McConfig) -> McRun:
         parts = []
         for lo in range(0, len(chunks), workers):
             draws = pmap(lambda chunk: _draw(dof, config.seed, *chunk), chunks[lo:lo + workers])
-            parts += pmap(lambda piece: _entropies(groups, piece, batch),
+            parts += pmap(lambda piece: _entropies(groups, piece, steps),
                           [piece for rows in draws for piece in np.array_split(rows, workers)])
         return np.concatenate(parts)
 
@@ -244,12 +226,11 @@ def run(config: McConfig) -> McRun:
         with ThreadPoolExecutor(workers) as pool:
             entropies = sample(pool.map)
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
-    # per worker: one chunk's draws, a batch of Schmidt weights and their
-    # logs, and the largest slice of matrices a solve call holds
-    slice_bytes = max(8 * m * m * min(batch * count, _solve_step(m)) for (m, _), count in groups)
+    piece = -(-chunk // workers)  # the most rows a worker solves at once
+    call_bytes = max(min(piece, step) * row for step, row in zip(steps, per_row))
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),
             "max_min_dim": groups[-1][0][0], "workers": workers,
-            "batch_bytes": workers * (draw_bytes + batch * weight_bytes + slice_bytes)}
+            "batch_bytes": workers * (draw_bytes + call_bytes)}
     return McRun(entropies, float(np.mean(entropies)),
                  math.sqrt(var / config.samples), var, plan)

@@ -7,7 +7,9 @@ weight-space invariant count. Larger sizes use a body-by-body convolution
 (the library uses Miller's recurrence) and the explicit triangle-rule
 double loop over complement spins (the library telescopes it). The Monte
 Carlo oracle draws every complex amplitude of the sector and takes an SVD
-per block, where the library only draws each block's Schmidt spectrum. The
+per block, where the library only draws each block's Schmidt spectrum, and
+``two_pass_entropies`` normalizes the library's own spectra before taking
+-sum p log p, where the library keeps two running sums per row. The
 full-space oracle uses no block table at all: it projects Haar states of the
 whole k^n tensor space onto a sector and cuts them as a k^n_A x k^(n - n_A)
 matrix in the spin basis.
@@ -35,6 +37,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import null_space
 
+from chargepage import montecarlo
 from chargepage.laplace import LaplaceProblem, laplace_discontinuous
 from chargepage.models import ChargeModel, GroupKind, catalog, weight_multiplicities
 from chargepage.sectors import block_table
@@ -184,6 +187,30 @@ def dense_entropies(table, rng: np.random.Generator, samples: int) -> np.ndarray
     p = dense_schmidt_weights(table, dense_amplitudes(table, rng, samples))
     p /= p.sum(axis=1, keepdims=True)
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
+def two_pass_entropies(config) -> np.ndarray:
+    """Monte Carlo entropies of ``config`` by the two-pass formula: from
+    montecarlo's own draws and spectra, concatenate every block's clamped
+    spectrum, normalize each row, then take -sum p log p."""
+    table = block_table(config.model, config.n_total, config.n_a, config.q_total)
+    groups = sorted(Counter((min(d, b), max(d, b)) for _, d, b in table.blocks).items())
+    dof = np.concatenate([
+        np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
+        for (m, big), count in groups])
+    out = []
+    for start in range(0, config.samples, montecarlo.CHUNK):
+        rows = min(montecarlo.CHUNK, config.samples - start)
+        draws = montecarlo._draw(dof, config.seed, start // montecarlo.CHUNK, rows)
+        spectra, col = [], 0
+        for (m, _), count in groups:
+            block = draws[:, col:col + count * (2 * m - 1)].reshape(-1, 2 * m - 1)
+            col += count * (2 * m - 1)
+            spectra.append(montecarlo._spectra(block, m).reshape(rows, -1))
+        p = np.maximum(np.concatenate(spectra, axis=1), 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+        out.append(-(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1))
+    return np.concatenate(out)
 
 
 def _site_sum(local: np.ndarray, n: int) -> np.ndarray:

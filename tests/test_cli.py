@@ -301,9 +301,10 @@ def test_mc_meta_reports_sampler_plan(capsys):
     assert meta["svd_groups"] == 0  # every block has m <= 32
     assert meta["max_min_dim"] == 3
     assert meta["chunk"] >= 1
-    # 20 rows of 2*(1+2+3)-3 = 9 draws, 20 rows of 1+2+3 = 6 Schmidt weights
-    # and their logs, and one slice of 20 3x3 matrices
-    assert meta["batch_bytes"] == 8 * 20 * 9 + 2 * 8 * 20 * 6 + 8 * 20 * 9
+    # 20 rows of 2*(1+2+3)-3 = 9 draws, and the largest solve call: 20 rows of
+    # one 3x3 matrix, its 5 copied draws and about 9 values of spectra and
+    # temporaries
+    assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * 20 * (3 * 3 + 5 * 3)
     assert meta["workers"] == 1  # far below the work floor
 
 
@@ -327,9 +328,9 @@ def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
     assert code == 0
     meta = json.loads(out)["meta"]
     assert meta["workers"] == 3
-    # each worker holds the chunk's draws, the weights and logs of all 20 rows
-    # and one slice of 20 3x3 matrices
-    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 2 * 8 * 20 * 6 + 8 * 20 * 9)
+    # each worker holds the chunk's draws and a solve call of its 7 of the 20
+    # rows, the 3x3 group the largest
+    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 8 * 7 * (3 * 3 + 5 * 3))
     assert meta["batch_bytes"] <= montecarlo.MAX_BATCH_BYTES
 
 
@@ -427,6 +428,33 @@ def test_unwritable_path_is_a_usage_error(tmp_path, capsys, flag, argv):
     assert code == EXIT_USAGE
     assert f"error: {flag}: cannot write" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, target, argv", [
+    ("--dump", "missing/x.txt", ("mc", "--model", "u1-qubit", "--n", "16", "--na", "8",
+                                 "--q", "0", "--samples", "2000")),
+    ("--out", "missing/x.csv", ("mc", "--model", "u1-qubit", "--n", "6", "--na", "3",
+                                "--q", "0")),
+    ("--out", ".", ("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
+                    "--s", "0.1")),
+    ("--plot", ".", ("page-curve", "--model", "u1-qubit", "--n", "8", "--s", "0.1")),
+    ("--out", "missing/x.csv", ("page-curve", "--model", "u1-qubit", "--n", "8",
+                                "--s", "0.1")),
+], ids=["mc-dump", "mc-out", "crosscheck-out-directory", "page-curve-plot-directory",
+        "page-curve-out"])
+def test_unwritable_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      flag, target, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an unwritable path must be refused before any work")
+
+    for owner, name in ((cli, "mc_run"), (cli.routes, "page_curve"),
+                        (cli.routes, "crosscheck")):
+        monkeypatch.setattr(owner, name, no_work)
+    code = main([*argv, flag, str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: {flag}: cannot write" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n_list, message", [

@@ -15,7 +15,8 @@ from chargepage.models import ChargeModel, catalog
 from chargepage.sectors import block_table
 from chargepage.exactavg import exact_average_entropy
 from chargepage.montecarlo import CHUNK, McConfig, SectorSizeError, run
-from conftest import dense_amplitudes, dense_entropies, dense_schmidt_weights
+from conftest import dense_amplitudes, dense_entropies, dense_schmidt_weights, \
+    two_pass_entropies
 
 
 def test_one_dimensional_sector_always_zero():
@@ -63,36 +64,32 @@ def test_run_prefix_stable_and_chunk_order_free(monkeypatch):
 
 
 def byte_counts(blocks):
-    """One chunk's draw bytes, one row's matrix bytes and one row's weight-and-log bytes."""
+    """One chunk's draw bytes and one row's matrix bytes."""
     draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
     row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
-    weight_bytes = 2 * 8 * sum(min(d, b) for _, d, b in blocks)
-    return draw_bytes, row_bytes, weight_bytes
+    return draw_bytes, row_bytes
 
 
-def test_batch_size_does_not_change_numbers(monkeypatch):
-    # N = 10: blocks 1x1, 5x5 and 10x10, two of each; N = 14: 1x1, 7x7, 21x21
-    # and 35x35, two of each, the 35x35 solved as singular values of B^T.
-    # The largest solve slice of a CHUNK-row batch: all 1024 10x10 matrices
-    # at N = 10, and 297 21x21 matrices, the most under SOLVE_BYTES, at N = 14
-    assert montecarlo.SOLVE_BYTES == 2**20
-    force_workers(monkeypatch, 1)
-    for n, width, full_slice in ((10, 10, 2 * CHUNK * 8 * 10**2), (14, 35, 297 * 8 * 21**2)):
-        config = McConfig(catalog("u1-qubit"), n, n // 2, 0, CHUNK + 100, 31)
-        reference = run(config)
-        draw_bytes, row_bytes, weight_bytes = byte_counts(
-            block_table(config.model, n, n // 2, 0).blocks)
-        # room for the chunk's draws and three rows of matrices and weights;
-        # the widest group of three rows is one slice
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "MAX_BATCH_BYTES",
-                          draw_bytes + 3 * (row_bytes + weight_bytes) + 7)
-            small = run(config)
-        assert small.plan["batch_bytes"] == (draw_bytes + 3 * weight_bytes
-                                             + 3 * 2 * 8 * width**2)
-        assert reference.plan["batch_bytes"] == (draw_bytes + CHUNK * weight_bytes
-                                                 + full_slice)
-        assert np.array_equal(small.entropies, reference.entropies)
+def call_bytes(m, count, rows):
+    """What a solve call of ``rows`` rows of ``count`` m x m blocks holds: each
+    block's matrix, its 2m - 1 copied draws and about 3m of spectra and
+    temporaries."""
+    return 8 * rows * count * (m * m + 5 * m)
+
+
+@pytest.mark.parametrize("config", [
+    McConfig(catalog("u1-qubit"), 10, 5, 0, 300, 3),  # eigvalsh only
+    McConfig(catalog("u1-qubit"), 14, 7, 0, 300, 4),  # two 35x35 blocks: the SVD route
+    McConfig(catalog("u1-qubit"), 20, 10, 0, 4, 5),  # two 252x252 blocks: eigvalsh again
+    McConfig(catalog("su2-trimer"), 4, 2, 2, 300, 6),  # rank-1 blocks
+    McConfig(catalog("su2-qubit"), 20, 10, 2, 20, 7),  # a 90x207 block
+])
+def test_running_sums_match_the_two_pass_formula(config):
+    # S = (Z log Z - L) / Z from the running sums against -sum p log p over
+    # the normalized spectra of the same draws
+    reference = two_pass_entropies(config)
+    entropies = run(config).entropies
+    assert np.all(np.abs(entropies - reference) <= 1e-13 * np.maximum(1.0, reference))
 
 
 def test_svd_route_covers_exactly_the_blocks_from_33_to_128():
@@ -212,7 +209,7 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
             pytest.raises(SectorSizeError, match=r"needs \d+ bytes"):
         patch.setattr(montecarlo, "_draw", no_draw)
         run(McConfig(model, 22, 11, 0, 10, 1))
-    # N = 14: admitted with about 40 rows per batch
+    # N = 14: admitted, with its solve calls sized to the budget's share
     config = McConfig(model, 14, 7, 0, 2 * CHUNK, 1)
     run(replace(config, samples=2))  # first-use allocations of numpy's generator
     tracemalloc.start()
@@ -222,9 +219,9 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.plan["batch_bytes"] <= budget
-    # slack: 1/8 of the budget for what the bound leaves out, the per-row
-    # Schmidt weight vectors and the entropy output (tracemalloc sees numpy's
-    # array buffers, not LAPACK's small workspace)
+    # slack: 1/8 of the budget for what the bound leaves out, the running sums
+    # and the entropy output (tracemalloc sees numpy's array buffers, not
+    # LAPACK's small workspace)
     assert peak <= budget + budget // 8
 
 
@@ -255,24 +252,13 @@ def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
     # two chunks, and a budget that holds a few rows of T matrices per worker
     config = McConfig(catalog("u1-qubit"), 10, 5, 0, CHUNK + 100, 31)
     reference = run(config)
-    draw_bytes, row_bytes, weight_bytes = byte_counts(block_table(config.model, 10, 5, 0).blocks)
+    draw_bytes, row_bytes = byte_counts(block_table(config.model, 10, 5, 0).blocks)
     budget = 3 * (draw_bytes + 4 * row_bytes)
     monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
-    batches = []
-    entropies = montecarlo._entropies
-    monkeypatch.setattr(montecarlo, "_entropies",
-                        lambda groups, draws, batch: batches.append(batch)
-                        or entropies(groups, draws, batch))
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
-        batches.clear()
         result = run(config)
-        batch = (budget // workers - draw_bytes) // (row_bytes + weight_bytes)
         assert result.plan["workers"] == workers
-        assert set(batches) == {batch} and batch < CHUNK // workers
-        # the widest group, two 10x10 blocks per row, fits one slice
-        assert result.plan["batch_bytes"] == workers * (draw_bytes + batch * weight_bytes
-                                                        + batch * 2 * 8 * 10**2)
         assert result.plan["batch_bytes"] <= budget
         assert result.entropies.tobytes() == reference.entropies.tobytes()
 
@@ -338,7 +324,9 @@ def test_serial_path_imports_no_thread_pool():
 
 def test_parallel_run_shares_the_batch_budget(monkeypatch):
     # the tracemalloc bound of test_batch_budget_refuses_and_bounds_allocation
-    # with two workers: two chunks of draws and two slices' T matrices in flight
+    # with two workers: two chunks of draws and two solve calls in flight. A
+    # worker's share leaves 32768 bytes per call: 24 rows of the two 7x7
+    # blocks are its largest
     budget = 2 * 2**20
     monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
     force_workers(monkeypatch, 2)
@@ -351,6 +339,8 @@ def test_parallel_run_shares_the_batch_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.plan["workers"] == 2
+    draw_bytes = byte_counts(block_table(config.model, 14, 7, 0).blocks)[0]
+    assert result.plan["batch_bytes"] == 2 * (draw_bytes + call_bytes(7, 2, 24))
     assert result.plan["batch_bytes"] <= budget
     assert peak <= budget + budget // 8
 
@@ -358,8 +348,8 @@ def test_parallel_run_shares_the_batch_budget(monkeypatch):
 @pytest.mark.parametrize("n, samples, workers", [
     (14, 2 * CHUNK, 1),
     (14, 2 * CHUNK, 2),
-    (18, 100, 2),  # two 126x126 blocks: eight matrices per solve slice
-    (22, 4, 1),  # two 462x462 blocks: one 1.7 MB matrix, over SOLVE_BYTES
+    (18, 100, 2),  # two 126x126 blocks: three rows per solve call
+    (22, 4, 1),  # two 462x462 blocks: one 3.4 MB row per call, over SOLVE_BYTES
 ])
 def test_batch_bytes_reports_what_a_run_holds(monkeypatch, n, samples, workers):
     # the reported bytes in flight, and tracemalloc's peak, at the default
@@ -375,6 +365,12 @@ def test_batch_bytes_reports_what_a_run_holds(monkeypatch, n, samples, workers):
         tracemalloc.stop()
     assert result.plan["workers"] == workers
     held = result.plan["batch_bytes"]
+    draw_bytes = byte_counts(block_table(config.model, n, n // 2, 0).blocks)[0]
+    # the largest call: 120 rows of the two 21x21 blocks at N = 14, 44 rows of
+    # the two 36x36 blocks at N = 18
+    largest = {14: call_bytes(21, 2, 120), 18: call_bytes(36, 2, 44),
+               22: call_bytes(462, 2, 1)}[n]
+    assert held == workers * (draw_bytes * min(samples, CHUNK) // CHUNK + largest)
     assert held / 2 <= peak <= held + held // 8
 
 
