@@ -44,6 +44,8 @@ def _digamma_tail(x: float) -> float:
 def _digamma_and_half_inverse(d: int, log_d: float) -> tuple[float, float]:
     """psi(d + 1) and 1/(2d) for d >= 1, given log_d = math.log(d).
 
+    Below d = 9, psi(d + 1) is psi(10) less sum 1/k, summed with fsum; from
+    d + 1 = 10 the asymptotic series is accurate to full double precision.
     1/(2d) is 0.0 once d has 1000 bits, where it is far below ulp(log d).
     """
     if d < 9:
@@ -54,18 +56,6 @@ def _digamma_and_half_inverse(d: int, log_d: float) -> tuple[float, float]:
     # first correction is representable
     half_inverse = 0.5 / d if d.bit_length() < 1000 else 0.0
     return log_d + half_inverse, half_inverse
-
-
-def digamma_of_big_plus_one(d: int) -> float:
-    """psi(d + 1) for a positive integer of any size.
-
-    From d + 1 = 10 on, the asymptotic series is accurate to full double
-    precision; below that, psi(d + 1) = psi(10) - sum_{k=d+1}^{9} 1/k,
-    accumulated with fsum.
-    """
-    if d < 1:
-        raise ValueError(f"expected a positive integer, got {d}")
-    return _digamma_and_half_inverse(d, math.log(d))[0]
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,14 @@ waves of one per worker: the wave's draws run in parallel, then each chunk's
 rows are split into one piece per worker for the solves (numpy releases the
 GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool.
 
-Memory: the workers share MAX_BATCH_BYTES. A sector is admitted only if one
-sample row fits it: one chunk's chi^2 draws plus one row's dense matrices
-(8 m^2 bytes per block). In flight, each worker holds one chunk's draws and
-one solve call: a whole number of rows of one shape group, at most
-min(SOLVE_BYTES, share - draws) bytes of matrices, copied draws, spectra and
-temporaries, or one row where that is larger. McRun.plan["batch_bytes"]
-reports workers x (draws + the largest call).
+Memory: one count, _call_bytes, sizes everything. A solve call of r rows of
+one shape group holds 8 m (r count (m + 5) + m) bytes: per block its matrix,
+copied draws and numpy's ufunc buffers or eigenvalues, plus numpy's copy of
+one matrix for LAPACK. A sector is admitted if one chunk's chi^2 draws plus
+the largest one-row call fit MAX_BATCH_BYTES, and at most the budget over
+that sum workers run. Each holds one chunk's draws and solves the most whole
+rows per call that fit min(SOLVE_BYTES, its share less the draws), at least
+one. McRun.plan["batch_bytes"] reports workers x (draws + the largest call).
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ from .sectors import block_table
 
 #: samples per generator
 CHUNK = 512
-#: the sampler budget. Admission: one chunk's chi^2 draws plus one row of T
-#: (or B^T) matrices must fit. In flight: the workers share it, each holding
-#: one chunk's draws and one solve call
+#: the sampler budget, shared by the workers: each holds one chunk's chi^2
+#: draws and one solve call (module docstring)
 MAX_BATCH_BYTES = 32 * 2**20
-#: bytes per solve call (matrices, draws, spectra, temporaries) unless one row
-#: takes more. On mc_large_sectors 512 KiB to 2 MiB of matrices per call ran
-#: equally fast, 256 KiB slower, and more only raised the peak (ROADMAP)
+#: bytes per solve call unless one row takes more. On mc_large_sectors 512 KiB
+#: to 2 MiB of matrices per call ran equally fast, 256 KiB slower, and more
+#: only raised the peak (ROADMAP)
 SOLVE_BYTES = 2**20
 #: least samples * sum(count * m^3) run on a thread pool. A pool costs about
 #: 1.5-3 ms (thread start, pieces of a few rows contending for the GIL); on a
@@ -120,19 +120,20 @@ def _tridiagonal(draws: np.ndarray, m: int) -> np.ndarray:
     """Lower triangle of T = B B^T for rows of [diagonal^2 (m), subdiagonal^2]."""
     x, y = draws[:, :m], draws[:, m:]
     t = np.zeros((len(draws), m, m))
-    i = np.arange(m)
-    t[:, i, i] = x
-    t[:, i[1:], i[1:]] += y
-    t[:, i[1:], i[:-1]] = np.sqrt(x[:, :-1] * y)
+    flat = t.reshape(len(draws), m * m)
+    diagonal, sub = flat[:, ::m + 1], flat[:, m::m + 1]
+    diagonal[:, 0] = x[:, 0]
+    np.add(x[:, 1:], y, out=diagonal[:, 1:])
+    np.sqrt(np.multiply(x[:, :-1], y, out=sub), out=sub)
     return t
 
 
 def _bidiagonal(draws: np.ndarray, m: int) -> np.ndarray:
     """Upper bidiagonal B^T, with T = B B^T, for rows of [diagonal^2 (m), subdiagonal^2]."""
     b = np.zeros((len(draws), m, m))
-    i = np.arange(m)
-    b[:, i, i] = np.sqrt(draws[:, :m])
-    b[:, i[:-1], i[1:]] = np.sqrt(draws[:, m:])
+    flat = b.reshape(len(draws), m * m)
+    np.sqrt(draws[:, :m], out=flat[:, ::m + 1])
+    np.sqrt(draws[:, m:], out=flat[:, 1::m + 1])
     return b
 
 
@@ -166,6 +167,17 @@ def _entropies(groups, draws: np.ndarray, steps) -> np.ndarray:
     return (z * np.log(z) - logs) / z
 
 
+def _call_bytes(group, rows: int) -> int:
+    """Bytes a solve call of ``rows`` sample rows of one shape group holds. Per
+    block: its m x m matrix, 2m - 1 copied draws, and up to 3(m - 1) values of
+    numpy's ufunc buffers while T or B^T is filled (every operand there is a
+    2-d strided view), m eigenvalues after. Per call: numpy's linalg gufuncs
+    copy the matrix they solve into a malloc'd buffer that tracemalloc does
+    not see."""
+    (m, _), count = group
+    return 8 * m * (rows * count * (m + 5) + m)
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -185,25 +197,26 @@ def run(config: McConfig) -> McRun:
     groups = sorted(Counter((min(d, b), max(d, b)) for _, d, b in table.blocks).items())
     chunk = min(CHUNK, config.samples)
     draw_bytes = 8 * chunk * sum(count * (2 * m - 1) for (m, _), count in groups)
-    row_bytes = 8 * sum(count * m * m for (m, _), count in groups)
     if max(big for (_, big), _ in groups) > 2**1000:
         raise SectorSizeError("a block dimension over 2^1000 overflows the chi^2 draws")
-    fit = MAX_BATCH_BYTES // (draw_bytes + row_bytes)
-    if not fit:
+    widest = max(groups, key=lambda group: _call_bytes(group, 1))
+    need = draw_bytes + _call_bytes(widest, 1)
+    if need > MAX_BATCH_BYTES:
+        (m, big), count = widest
         raise SectorSizeError(
-            f"one sample row needs {draw_bytes + row_bytes} bytes ({draw_bytes} of chi^2 "
-            f"draws for {chunk} rows, {row_bytes} of eigensolve matrices), over the "
-            f"{MAX_BATCH_BYTES}-byte sampler budget")
+            f"one sample row needs {need} bytes ({draw_bytes} of chi^2 draws for {chunk} "
+            f"rows, {need - draw_bytes} for one solve call of its {count} {m}x{big} "
+            f"blocks), over the {MAX_BATCH_BYTES}-byte sampler budget")
     cpus = _usable_cpus()
     work = config.samples * sum(count * m**3 for (m, _), count in groups)
     # unset, BLAS may take every core: no room for our threads
     workers = max(1, min(cpus // (_blas_threads() or cpus), chunk, work // MIN_TASK_WORK,
-                         fit))
-    # each worker holds one chunk's draws and one solve call of whole rows; per
-    # block a row holds its matrix, 2m - 1 copied draws and ~3m temporaries
+                         MAX_BATCH_BYTES // need))
+    # each worker holds one chunk's draws and one solve call: the most whole
+    # rows of one shape group that fit the cap, at least one
     cap = min(SOLVE_BYTES, MAX_BATCH_BYTES // workers - draw_bytes)
-    per_row = [8 * count * (m * m + 5 * m) for (m, _), count in groups]
-    steps = [max(1, cap // row) for row in per_row]
+    steps = [max(1, (cap - _call_bytes(group, 0))
+                 // (_call_bytes(group, 1) - _call_bytes(group, 0))) for group in groups]
     dof = np.concatenate([
         np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
         for (m, big), count in groups])
@@ -227,7 +240,7 @@ def run(config: McConfig) -> McRun:
             entropies = sample(pool.map)
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
     piece = -(-chunk // workers)  # the most rows a worker solves at once
-    call_bytes = max(min(piece, step) * row for step, row in zip(steps, per_row))
+    call_bytes = max(_call_bytes(group, min(piece, step)) for group, step in zip(groups, steps))
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),
             "max_min_dim": groups[-1][0][0], "workers": workers,

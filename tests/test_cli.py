@@ -302,9 +302,9 @@ def test_mc_meta_reports_sampler_plan(capsys):
     assert meta["max_min_dim"] == 3
     assert meta["chunk"] >= 1
     # 20 rows of 2*(1+2+3)-3 = 9 draws, and the largest solve call: 20 rows of
-    # one 3x3 matrix, its 5 copied draws and about 9 values of spectra and
-    # temporaries
-    assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * 20 * (3 * 3 + 5 * 3)
+    # one 3x3 matrix, its 5 copied draws and about 6 values of numpy's ufunc
+    # buffers, plus numpy's copy of one 3x3 matrix
+    assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * (20 * (3 * 3 + 5 * 3) + 3 * 3)
     assert meta["workers"] == 1  # far below the work floor
 
 
@@ -330,7 +330,7 @@ def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
     assert meta["workers"] == 3
     # each worker holds the chunk's draws and a solve call of its 7 of the 20
     # rows, the 3x3 group the largest
-    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 8 * 7 * (3 * 3 + 5 * 3))
+    assert meta["batch_bytes"] == 3 * (8 * 20 * 9 + 8 * (7 * (3 * 3 + 5 * 3) + 3 * 3))
     assert meta["batch_bytes"] <= montecarlo.MAX_BATCH_BYTES
 
 

@@ -7,11 +7,16 @@ import pytest
 from chargepage.models import catalog, catalog_names
 from chargepage.sectors import BlockTable, EmptySectorError, block_table, \
     realizable_charges, sector_dims
-from chargepage.exactavg import block_average_entropy, digamma_of_big_plus_one, \
+from chargepage.exactavg import _digamma_and_half_inverse, block_average_entropy, \
     exact_average_entropy
 from chargepage.montecarlo import McConfig, run
 
 from conftest import full_space_entropies
+
+
+def digamma_of_big_plus_one(d):
+    """psi(d + 1) as the exact route computes it, for a positive integer d."""
+    return _digamma_and_half_inverse(d, math.log(d))[0]
 
 
 def test_digamma_big_argument_paths():
@@ -30,7 +35,7 @@ E12 = 10**12
 
 
 # (d, b) blocks with d > b, d < b and d == b, and max(d, b) in one range of
-# digamma_of_big_plus_one: below 9, the tail series up to 1e12, the log branch
+# _digamma_and_half_inverse: below 9, the tail series up to 1e12, the log branch
 # just above it, and both sides of the 1000-bit cut of 1/(2 max). In the
 # lopsided rows log M is far from log m, so taking the wrong one shows.
 @pytest.mark.parametrize("blocks", [

@@ -63,18 +63,17 @@ def test_run_prefix_stable_and_chunk_order_free(monkeypatch):
     assert np.array_equal(run(config).entropies, full)
 
 
-def byte_counts(blocks):
-    """One chunk's draw bytes and one row's matrix bytes."""
-    draw_bytes = 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
-    row_bytes = 8 * sum(min(d, b) ** 2 for _, d, b in blocks)
-    return draw_bytes, row_bytes
+def draw_bytes(blocks):
+    """One chunk's chi^2 draws."""
+    return 8 * CHUNK * sum(2 * min(d, b) - 1 for _, d, b in blocks)
 
 
 def call_bytes(m, count, rows):
     """What a solve call of ``rows`` rows of ``count`` m x m blocks holds: each
-    block's matrix, its 2m - 1 copied draws and about 3m of spectra and
-    temporaries."""
-    return 8 * rows * count * (m * m + 5 * m)
+    block's matrix, its 2m - 1 copied draws and up to 3(m - 1) values of numpy's
+    ufunc buffers, and numpy's copy of one matrix for LAPACK, which tracemalloc
+    does not see."""
+    return 8 * (rows * count * (m * m + 5 * m) + m * m)
 
 
 @pytest.mark.parametrize("config", [
@@ -191,8 +190,9 @@ def test_memory_budget_guard():
     # binom(30, 15)^2 ~ 2.4e16 amplitudes in the central block
     with pytest.raises(SectorSizeError):
         run(McConfig(catalog("u1-qubit"), 60, 30, 0, 1, 0))
-    # no block over 10^7 amplitudes, but one row of T matrices is 353 MB
-    with pytest.raises(SectorSizeError, match="353537248 bytes"):
+    # no block over 10^7 amplitudes, but one solve call of one row of the two
+    # 2907x2907 blocks holds three such matrices with numpy's copy, 203 MB
+    with pytest.raises(SectorSizeError, match="203362912 bytes"):
         run(McConfig(catalog("u1-qutrit"), 18, 9, 0, 1, 0))
 
 
@@ -204,7 +204,7 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
     def no_draw(*args):
         raise AssertionError("an over-budget sector must be refused before any draw")
 
-    # N = 22: sum d^2 = binom(22, 11) = 705432, one row of T matrices is 5.6 MB
+    # N = 22: one row of the two 462x462 blocks is a 5.2 MB solve call
     with monkeypatch.context() as patch, \
             pytest.raises(SectorSizeError, match=r"needs \d+ bytes"):
         patch.setattr(montecarlo, "_draw", no_draw)
@@ -223,6 +223,28 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
     # and the entropy output (tracemalloc sees numpy's array buffers, not
     # LAPACK's small workspace)
     assert peak <= budget + budget // 8
+
+
+def test_admission_counts_one_solve_call_not_a_whole_row(monkeypatch):
+    # u1-qubit N = 16 at the half cut: one sample row holds 8 * binom(16, 8) =
+    # 102960 bytes of matrices, but a solve call holds one shape group's. The
+    # largest one-row call is the 70x70 block with numpy's copy of it
+    budget = 96 * 2**10
+    config = McConfig(catalog("u1-qubit"), 16, 8, 0, 1, 1)
+    reference = run(config)
+    monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
+    force_workers(monkeypatch, 1)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws = draw_bytes(block_table(config.model, 16, 8, 0).blocks) // CHUNK
+    assert result.plan["batch_bytes"] == draws + call_bytes(70, 1, 1) <= budget
+    assert draws + 8 * 12870 > budget  # a whole row of matrices would not fit
+    assert peak <= budget + budget // 8
+    assert result.entropies.tobytes() == reference.entropies.tobytes()
 
 
 def force_workers(monkeypatch, cpus):
@@ -252,8 +274,8 @@ def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
     # two chunks, and a budget that holds a few rows of T matrices per worker
     config = McConfig(catalog("u1-qubit"), 10, 5, 0, CHUNK + 100, 31)
     reference = run(config)
-    draw_bytes, row_bytes = byte_counts(block_table(config.model, 10, 5, 0).blocks)
-    budget = 3 * (draw_bytes + 4 * row_bytes)
+    # each worker's share holds 4 rows of the two 10x10 blocks per call
+    budget = 3 * (draw_bytes(block_table(config.model, 10, 5, 0).blocks) + call_bytes(10, 2, 4))
     monkeypatch.setattr(montecarlo, "MAX_BATCH_BYTES", budget)
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
@@ -339,8 +361,8 @@ def test_parallel_run_shares_the_batch_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.plan["workers"] == 2
-    draw_bytes = byte_counts(block_table(config.model, 14, 7, 0).blocks)[0]
-    assert result.plan["batch_bytes"] == 2 * (draw_bytes + call_bytes(7, 2, 24))
+    draws = draw_bytes(block_table(config.model, 14, 7, 0).blocks)
+    assert result.plan["batch_bytes"] == 2 * (draws + call_bytes(7, 2, 24))
     assert result.plan["batch_bytes"] <= budget
     assert peak <= budget + budget // 8
 
@@ -349,11 +371,12 @@ def test_parallel_run_shares_the_batch_budget(monkeypatch):
     (14, 2 * CHUNK, 1),
     (14, 2 * CHUNK, 2),
     (18, 100, 2),  # two 126x126 blocks: three rows per solve call
-    (22, 4, 1),  # two 462x462 blocks: one 3.4 MB row per call, over SOLVE_BYTES
+    (22, 4, 1),  # two 462x462 blocks: one 5.2 MB row per call, over SOLVE_BYTES
 ])
 def test_batch_bytes_reports_what_a_run_holds(monkeypatch, n, samples, workers):
     # the reported bytes in flight, and tracemalloc's peak, at the default
-    # budget: tracemalloc sees numpy's array buffers, not LAPACK's workspace
+    # budget: tracemalloc sees numpy's array buffers, not numpy's copy of the
+    # matrix for LAPACK nor LAPACK's workspace
     force_workers(monkeypatch, workers)
     config = McConfig(catalog("u1-qubit"), n, n // 2, 0, samples, 1)
     run(replace(config, samples=2))  # first-use allocations of numpy's generator
@@ -365,12 +388,12 @@ def test_batch_bytes_reports_what_a_run_holds(monkeypatch, n, samples, workers):
         tracemalloc.stop()
     assert result.plan["workers"] == workers
     held = result.plan["batch_bytes"]
-    draw_bytes = byte_counts(block_table(config.model, n, n // 2, 0).blocks)[0]
-    # the largest call: 120 rows of the two 21x21 blocks at N = 14, 44 rows of
+    draws = draw_bytes(block_table(config.model, n, n // 2, 0).blocks)
+    # the largest call: 119 rows of the two 21x21 blocks at N = 14, 43 rows of
     # the two 36x36 blocks at N = 18
-    largest = {14: call_bytes(21, 2, 120), 18: call_bytes(36, 2, 44),
+    largest = {14: call_bytes(21, 2, 119), 18: call_bytes(36, 2, 43),
                22: call_bytes(462, 2, 1)}[n]
-    assert held == workers * (draw_bytes * min(samples, CHUNK) // CHUNK + largest)
+    assert held == workers * (draws * min(samples, CHUNK) // CHUNK + largest)
     assert held / 2 <= peak <= held + held // 8
 
 

@@ -3,6 +3,7 @@ import math
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names, \
     weight_multiplicities
@@ -162,6 +163,22 @@ def test_eta_two_routes_agree():
             kl = math.fsum(p * math.log(p * k / weights[m2])
                            for m2, p in probs.items())
             assert abs((math.log(k) - kl) - tp.eta) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=random_small_models(), t=st.floats(1e-3, 1 - 1e-3))
+def test_eta_kl_form_matches_legendre_form_on_custom_models(model, t):
+    # thermo_point returns the Legendre form log Z + beta* s; log k minus the
+    # relative entropy to the infinite-temperature distribution must agree
+    lo, hi = density_interval(model)
+    assume(lo < hi)
+    s = lo + t * (hi - lo)
+    tp = thermo_point(model, s)
+    weights = weight_multiplicities(model)
+    k = model.local_dim
+    kl = math.fsum(p * math.log(p * k / weights[m2])
+                   for m2, p in gibbs(model, tp.beta_star).probs.items() if p > 0)
+    assert abs((math.log(k) - kl) - tp.eta) <= 1e-10 * max(1.0, abs(tp.eta))
 
 
 def test_eta_derivative_is_beta_star():
