@@ -7,7 +7,7 @@ from fractions import Fraction
 from .asymptotics import Regime, average_entropy_asymptotic, checked_thermo_point, \
     estimate_at_point
 from .exactavg import ENTROPY, block_average_entropy
-from .models import ChargeModel, charge_str
+from .models import ChargeModel, GroupKind, charge_str
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 from .sectors import block_tables, sector_dims
 
@@ -16,10 +16,16 @@ CROSSCHECK_KEYS = ("n", "q", "s_snapped", "exact", "asymptotic", "abs_diff", "sc
 
 
 def _exact_at_cuts(model: ChargeModel, n: int, s: float, cuts):
-    """Snap s at size n; then lazily (n_a, ExactAverage), one convolution per mirror pair."""
+    """Snap s at size n; then the tables built and, lazily, (n_a, ExactAverage) per cut.
+    A U(1) table serves both cuts of a mirror pair: at n - a it holds the (b, d) of a, and
+    ``block_average_entropy`` is symmetric and exactly rounded. SU(2) tables there differ."""
     full = sector_dims(model, n)
     q2 = full.snap(s)
-    return q2, ((t.n_a, block_average_entropy(t)) for t in block_tables(full, q2, cuts))
+    cuts, u1 = set(cuts), model.group is GroupKind.U1
+    built = {min(a, n - a) for a in cuts} if u1 else cuts
+    return q2, len(built), ((a, res) for t in block_tables(full, q2, built)
+                            for res in (block_average_entropy(t),)
+                            for a in sorted({t.n_a, n - t.n_a if u1 else t.n_a} & cuts))
 
 
 def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
@@ -31,13 +37,14 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
     values, meta = {}, {}
     if exact:
         inner = {n_a for n_a in cuts if 0 < n_a < n}
-        q2 = None  # n < 2 has no cut to snap for
+        q2, tables = None, 0  # n < 2 has no cut to snap for
         if inner:
-            q2, pairs = _exact_at_cuts(model, n, s, inner)
+            q2, tables, pairs = _exact_at_cuts(model, n, s, inner)
             values = {n_a: res.value for n_a, res in pairs}
         bodies = inner | {n - n_a for n_a in inner}
         meta = {"entropy": ENTROPY, "q_snapped": None if q2 is None else charge_str(q2),
-                "distinct_cuts": len(inner), "convolutions": len(bodies) + 1 if bodies else 0}
+                "distinct_cuts": len(inner), "convolutions": len(bodies) + 1 if bodies else 0,
+                "tables": tables}
     rows = []
     for f, n_a in zip(fractions, cuts):
         est = estimate_at_point(tp, model, f)
@@ -70,7 +77,7 @@ def crosscheck(model: ChargeModel, f: Fraction, s: float, n_list, samples: int,
             row.update(status="skipped", reason=f"f*n = {n_a} not an integer")
             continue
         n_a = int(n_a)
-        q2, pairs = _exact_at_cuts(model, n, s, [n_a])
+        q2, _, pairs = _exact_at_cuts(model, n, s, [n_a])
         s_snap = q2 / (2.0 * n)
         row.update(q=charge_str(q2), s_snapped=s_snap)
         try:

@@ -6,21 +6,21 @@ coefficients of P(x)^n, where P is the one-body weight polynomial on the
 compressed lattice w = w_min + step*k (step = gcd of the weight
 differences). J.C.P. Miller's power-series recurrence (Knuth, TAOCP Vol. 2,
 section 4.7) yields each coefficient from the previous ones with one exact
-division, so there is no recursion over bodies and nothing to cache. When
-the one-body weight multiplicities mirror about their middle (every SU(2)
-model, u1-qubit, u1-qutrit), so do the N-body counts, and the recurrence
-runs only to the middle coefficient. SU(2)
+division, so there is no recursion over bodies and nothing to cache. SU(2)
 complement blocks sum spin sectors over the triangle range, and that sum
 telescopes to two weight counts. The tables of the cuts n_A and N - n_A
 are built from the same two weight counts, so many cuts of one sector cost
-one convolution per mirror pair. Python big integers are mandatory: k^N
-overflows machine words at desk scale.
+one convolution per mirror pair. The counts stay lists indexed by k, zeros
+included, and a table is sliced from them. Python big integers are
+mandatory: k^N overflows machine words at desk scale.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, count, repeat
+from operator import mul, sub
 
 from .models import ChargeModel, GroupKind, charge_str, lattice_step, weight_multiplicities
 
@@ -73,22 +73,22 @@ class BlockTable:
     sector_dimension: int
 
 
-def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
-    """Counts of each doubled total weight over n bodies, ascending in weight.
-
-    With P(x) = sum_k a_k x^k on the compressed lattice, the coefficients of
-    P(x)^n obey j a_0 c_j = sum_k ((n+1) k - j) a_k c_{j-k} (Miller), and
-    the division by j a_0 is exact. When a_k = a_{top-k} (every SU(2) model,
-    and U(1) models whose multiplicities mirror about the middle charge),
-    P(x)^n is palindromic too: the recurrence stops at the middle coefficient
-    and c_j = c_{n top - j} fills the rest.
-    """
-    if n < 0:
-        raise ValueError(f"n = {n} must be >= 0")
+def _lattice(model: ChargeModel) -> tuple[int, int, dict[int, int]]:
+    """(w_min, step, {k: a_k}): one body's doubled weights are w_min + step*k."""
     local = weight_multiplicities(model)
-    w_min = min(local)
-    step = lattice_step(model)
-    a = {(w - w_min) // step: m for w, m in local.items()}
+    w_min, step = min(local), lattice_step(model)
+    return w_min, step, {(w - w_min) // step: m for w, m in local.items()}
+
+
+def _power_coefficients(a: dict[int, int], n: int) -> list[int]:
+    """Coefficients c_0 .. c_{n top} of P(x)^n, P(x) = sum_k a_k x^k, zeros included.
+
+    They obey j a_0 c_j = sum_k ((n+1) k - j) a_k c_{j-k} (Miller), and the
+    division by j a_0 is exact. When a_k = a_{top-k} (every SU(2) model, and
+    U(1) models whose multiplicities mirror about the middle charge), P(x)^n
+    is palindromic too: the recurrence stops at the middle coefficient and
+    c_j = c_{n top - j} fills the rest.
+    """
     top, a0 = max(a), a[0]
     # (k, (n+1) k a_k, a_k) ascending in k, so the inner loop can stop at k > j
     terms = [(k, (n + 1) * k * m, m) for k, m in a.items() if k]
@@ -103,33 +103,26 @@ def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
             acc += (nka - j * m) * c[j - k]
         c.append(acc // (j * a0))
     c.extend(reversed(c[:last + 1 - len(c)]))
-    return {w: cj for w, cj in zip(range(n * w_min, n * max(local) + 1, step), c) if cj}
+    return c
 
 
-def _dims_from_counts(model: ChargeModel, counts: dict[int, int]) -> dict[int, int]:
-    """Sector dimensions from weight counts (see ``sector_dims``)."""
-    if model.group is GroupKind.U1:
-        return counts
-    dims = {}
-    for j2, w in counts.items():
-        if j2 < 0:
-            continue
-        d = w - counts.get(j2 + 2, 0)
-        if d > 0:
-            dims[j2] = d
-    return dims
+def weight_counts(model: ChargeModel, n: int) -> dict[int, int]:
+    """Nonzero counts of each doubled total weight over n bodies, ascending in weight."""
+    if n < 0:
+        raise ValueError(f"n = {n} must be >= 0")
+    w_min, step, poly = _lattice(model)
+    return {n * w_min + step * j: x for j, x in enumerate(_power_coefficients(poly, n)) if x}
 
 
 def sector_dims(model: ChargeModel, n: int) -> SectorTable:
-    """Exact dimension of every fixed-charge sector for n bodies.
-
-    U1: the sector dimension at charge m is the weight count itself.
-    SU2: the spin-j multiplicity is the adjacent weight-count difference
-    D_j = W(j) - W(j+1), so one convolution serves both groups.
-    """
+    """Exact dimension of every fixed-charge sector for n bodies: the weight count
+    W(m) for U1, the spin-j multiplicity D_j = W(j) - W(j+1) for SU2."""
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
-    return SectorTable(model, n, _dims_from_counts(model, weight_counts(model, n)))
+    dims = weight_counts(model, n)
+    if model.group is GroupKind.SU2:
+        dims = {j2: w - dims.get(j2 + 2, 0) for j2, w in dims.items() if j2 >= 0}
+    return SectorTable(model, n, {q2: d for q2, d in dims.items() if d})
 
 
 def _check_cut(n_total: int, n_a: int) -> None:
@@ -139,24 +132,6 @@ def _check_cut(n_total: int, n_a: int) -> None:
         raise ValueError(f"n_a = {n_a} must satisfy 1 <= n_a <= {n_total - 1}")
 
 
-def _cut_table(full: SectorTable, q_total: int, n_a: int,
-               w_a: dict[int, int], w_b: dict[int, int]) -> BlockTable:
-    """One cut's table from the weight counts W(n_a) and W(N - n_a), in their q_A order."""
-    su2 = full.model.group is GroupKind.SU2
-    blocks = []
-    for qa2, d in _dims_from_counts(full.model, w_a).items():
-        if su2:
-            b = w_b.get(abs(q_total - qa2), 0) - w_b.get(q_total + qa2 + 2, 0)
-        else:
-            b = w_b.get(q_total - qa2, 0)
-        if b >= 1:
-            blocks.append((qa2, d, b))
-    total, dim = sum(d * b for _, d, b in blocks), full.dims[q_total]
-    if total != dim:
-        raise RuntimeError(f"block normalization broken: sum d*b = {total} != D_q = {dim}")
-    return BlockTable(full.model, full.n, n_a, q_total, tuple(blocks), dim)
-
-
 def block_tables(full: SectorTable, q_total: int,
                  cuts: Iterable[int]) -> Iterator[BlockTable]:
     """Exact block dimensions (d, b) of one sector at each distinct cut.
@@ -164,22 +139,39 @@ def block_tables(full: SectorTable, q_total: int,
     U1: b is the complement weight count W_B(q - q_A).
     SU2: b_{j,j_A} sums the complement spin sectors D_B(j_B) over the
     triangle range |j - j_A| <= j_B <= j + j_A; with D_B(j) = W_B(j) - W_B(j+1)
-    the sum telescopes to W_B(|j - j_A|) - W_B(j + j_A + 1).
+    the sum telescopes to W_B(|j - j_A|) - W_B(j + j_A + 1), and W_B is even.
 
-    The cuts a and N - a need the same two weight counts W(a) and W(N - a),
-    so tables come one mirror pair at a time, in ascending order of the
-    smaller cut, and each pair's counts are dropped before the next pair's
-    are convolved.
+    Entry i of W(n_a) is q_A = n_a w_min + step i and entry iq - i of W(N - n_a)
+    is q - q_A, so a U(1) table is one slice of each list, the B side reversed.
+    SU(2) (step 1 or 2) reads q_A + 2 and q + q_A + 2 at entries i + 2/step and
+    iq + i + (2 n_a w_min + 2)/step.
+
+    Tables come one mirror pair {a, N - a} at a time, ascending in the smaller
+    cut: both need W(a) and W(N - a), dropped before the next pair's are convolved.
     """
     model, n_total = full.model, full.n
     wanted = set(cuts)
     for n_a in sorted(wanted):
         _check_cut(n_total, n_a)
-    full.dimension(q_total)  # rejects an unrealizable charge before any convolution
+    dim = full.dimension(q_total)  # rejects an unrealizable charge before any convolution
+    w_min, step, poly = _lattice(model)
+    su2, iq = model.group is GroupKind.SU2, (q_total - n_total * w_min) // step
     for small in sorted({min(a, n_total - a) for a in wanted}):
-        counts = {m: weight_counts(model, m) for m in sorted({small, n_total - small})}
+        counts = {m: _power_coefficients(poly, m) for m in sorted({small, n_total - small})}
         for n_a in sorted(wanted & counts.keys()):
-            yield _cut_table(full, q_total, n_a, counts[n_a], counts[n_total - n_a])
+            c_a, c_b, lowest = counts[n_a], counts[n_total - n_a], n_a * w_min
+            lo = max(0, iq + 1 - len(c_b), -(lowest // step) if su2 else 0)  # SU(2): j_A >= 0
+            hi = min(len(c_a), iq + 1)
+            ds, bs = c_a[lo:hi], c_b[iq + 1 - hi:iq + 1 - lo][::-1]
+            if su2:  # the lists read as 0 past their ends
+                ds = list(map(sub, ds, chain(c_a[lo + 2 // step:], repeat(0))))
+                bs = list(map(sub, bs, chain(c_b[iq + lo + (2 * lowest + 2) // step:], repeat(0))))
+            total = sum(map(mul, ds, bs))
+            if total != dim:
+                raise RuntimeError(f"block normalization broken: sum d*b = {total} != D_q = {dim}")
+            yield BlockTable(model, n_total, n_a, q_total, tuple(
+                (lowest + step * i, d, b) for i, d, b in zip(count(lo), ds, bs) if d > 0 and b > 0
+            ), dim)
         del counts  # freed before the next pair is convolved
 
 

@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from chargepage import cli, montecarlo, sectors
+from chargepage import cli, montecarlo, routes, sectors
 from chargepage.cli import EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY, main
 from chargepage.exactavg import exact_average_entropy
-from chargepage.models import GroupKind, catalog, catalog_names
+from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names
 from chargepage.thermo import density_interval
 
 from conftest import random_small_models
@@ -98,7 +98,7 @@ def test_page_curve_exact_rows_blank_without_a_cut(capsys):
         meta, rows = parse_csv(out)
         assert len(rows) == 3 and all(row["exact"] == "" for row in rows)
         assert meta["q_snapped"] is None
-        assert meta["distinct_cuts"] == meta["convolutions"] == 0
+        assert meta["distinct_cuts"] == meta["convolutions"] == meta["tables"] == 0
 
 
 def _density(model, u):
@@ -160,13 +160,13 @@ def test_page_curve_exact_cells_equal_per_cut_average_custom_models(
                                           (16, ("--f", "1/2,3/4"))])
 def test_page_curve_convolves_each_body_count_once(capsys, monkeypatch, n, grid_args):
     calls = Counter()
-    original = sectors.weight_counts
+    original = sectors._power_coefficients
 
-    def counting(model, bodies):
+    def counting(a, bodies):
         calls[bodies] += 1
-        return original(model, bodies)
+        return original(a, bodies)
 
-    monkeypatch.setattr(sectors, "weight_counts", counting)
+    monkeypatch.setattr(sectors, "_power_coefficients", counting)
     doc = exact_curve(capsys, ("--model", "su2-qutrit"), n, 0.4, grid_args)
     monkeypatch.undo()
     assert_cells_match_per_cut(doc, catalog("su2-qutrit"), n, 0.4)
@@ -177,6 +177,34 @@ def test_page_curve_convolves_each_body_count_once(capsys, monkeypatch, n, grid_
     assert meta["distinct_cuts"] == len(cuts)
     assert meta["convolutions"] == sum(calls.values()) + 1
     assert meta["q_snapped"] == doc["rows"][0]["q_snapped"]
+
+
+@pytest.mark.parametrize("model", [
+    catalog("u1-qubit"), catalog("u1-2bosons"),
+    ChargeModel(GroupKind.U1, {-5: 1, -3: 1, 3: 1, 5: 1}),  # gapped lattice
+    catalog("su2-qubit"), catalog("su2-trimer")], ids=lambda m: m.name or "u1-gapped")
+@pytest.mark.parametrize("n", [21, 16])
+def test_page_curve_evaluates_one_table_per_u1_mirror_pair(capsys, monkeypatch, model, n):
+    evaluated = []
+    original = routes.block_average_entropy
+
+    def counting(table):
+        evaluated.append(table.n_a)
+        return original(table)
+
+    monkeypatch.setattr(routes, "block_average_entropy", counting)
+    s = _density(model, 0.37)
+    doc = exact_curve(capsys, ("--model-file", json.dumps(model.as_dict())), n, s,
+                      ("--points", "30"))
+    monkeypatch.undo()
+    assert_cells_match_per_cut(doc, model, n, s)  # mirror cells too, bit for bit
+    cuts = {row["n_a"] for row in doc["rows"]}
+    assert n % 2 or n // 2 in cuts
+    if model.group is GroupKind.U1:
+        assert any(n - n_a in cuts for n_a in cuts if 2 * n_a != n)
+        cuts = {min(n_a, n - n_a) for n_a in cuts}  # the half cut once
+    assert sorted(evaluated) == sorted(cuts)
+    assert doc["meta"]["tables"] == len(evaluated)
 
 
 def test_page_curve_memory_holds_one_mirror_pair(capsys):

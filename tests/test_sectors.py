@@ -166,13 +166,14 @@ def test_block_tables_share_each_mirror_pair(monkeypatch):
     from chargepage import sectors
 
     calls = []
+    original = sectors._power_coefficients
 
-    def counting(model, n):
+    def counting(a, n):
         calls.append(n)
-        return weight_counts(model, n)
+        return original(a, n)
 
     full = sector_dims(catalog("su2-trimer"), 12)
-    monkeypatch.setattr(sectors, "weight_counts", counting)
+    monkeypatch.setattr(sectors, "_power_coefficients", counting)
     order = [t.n_a for t in block_tables(full, 6, [9, 3, 6, 1, 2, 10])]
     assert order == [1, 2, 10, 3, 9, 6]  # ascending by the smaller cut of each pair
     assert calls == [1, 11, 2, 10, 3, 9, 6]  # W(6) serves both sides of n_a = 6
@@ -200,6 +201,8 @@ LATTICE_EXAMPLES = (
     ChargeModel(GroupKind.U1, {-2: 1, 2: 1}),
     ChargeModel(GroupKind.U1, {0: 1, 3: 2}),
     ChargeModel(GroupKind.SU2, {0: 2}),  # a single weight: no lattice step
+    ChargeModel(GroupKind.SU2, {0: 1, 1: 1}),  # integer and half-integer spins: step 1
+    ChargeModel(GroupKind.U1, {0: 2, 2: 1, 6: 1}),  # a zero coefficient inside the lattice
 )
 
 # the mirrored recurrence and the full one, each with n*top + 1 even and odd
@@ -235,6 +238,8 @@ def test_weight_counts_match_naive_convolution(model, n):
 @example(model=LATTICE_EXAMPLES[0], n=6)
 @example(model=LATTICE_EXAMPLES[1], n=5)
 @example(model=LATTICE_EXAMPLES[2], n=4)
+@example(model=LATTICE_EXAMPLES[3], n=5)
+@example(model=LATTICE_EXAMPLES[4], n=4)
 def test_blocks_match_triangle_double_loop(model, n):
     for n_a in range(1, n):
         for q2 in realizable_charges(model, n):
