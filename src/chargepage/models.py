@@ -148,16 +148,12 @@ def catalog_names() -> list[str]:
 
 
 def load_model(source) -> ChargeModel:
-    """Build a ChargeModel from a config dict, JSON text, or a file path."""
+    """Build a ChargeModel from a config mapping or the path of a JSON file."""
     if isinstance(source, Mapping):
         doc = source
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     if not isinstance(doc, Mapping) or not isinstance(doc.get("multiplicities", {}), Mapping):
         raise ModelValidationError("model config must be a JSON object whose 'multiplicities' "
                                    "maps charges to multiplicities")

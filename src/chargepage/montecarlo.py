@@ -34,13 +34,21 @@ from a generator keyed by (seed, c) before any solve. So the numbers do
 not depend on chunk order, solve call size or worker count, and the first k
 samples of a run are those of a k-sample run.
 
-A run spreads over a thread pool of (usable CPUs) // (BLAS threads) workers,
-the BLAS count read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
-taken as every usable CPU. So the sampler stays serial while BLAS may use
-all cores, and OPENBLAS_NUM_THREADS=1 lets it use every core. Chunks go in
-waves of one per worker: the wave's draws run in parallel, then each chunk's
-rows are split into one piece per worker for the solves (numpy releases the
-GIL in both). Runs under MIN_TASK_WORK stay serial, with no pool.
+A run spreads over a thread pool of one worker per usable CPU, fewer if a
+chunk has fewer rows, the budget holds fewer (below) or the run is small:
+runs under MIN_TASK_WORK stay serial, with no pool. Chunks go in waves of
+one per worker: the wave's draws run in parallel, then each chunk's rows are
+split into one piece per worker for the solves (numpy releases the GIL in
+both). The rule does not read the BLAS thread count, because both routes run
+one thread up to m = 128 however it is set. CPU time over wall time of
+batched solves with no BLAS thread count set (2-vCPU x86-64):
+
+    m         16       32       33       70       126      128      129      200      400
+    route     eigvalsh eigvalsh svd      svd      svd      svd      eigvalsh eigvalsh eigvalsh
+    cpu/wall  1.02     1.00     1.00     1.00     1.00     1.00     1.91     1.99     1.99
+
+Above m = 128 the blocked reduction spreads over BLAS's threads, which a
+pool then shares the cores with (README, "Monte Carlo").
 
 Memory: one count, _call_bytes, sizes everything. A solve call of r rows of
 one shape group holds 8 m (r count (m + 5) + m) bytes: per block its matrix,
@@ -49,7 +57,8 @@ one matrix for LAPACK. A sector is admitted if one chunk's chi^2 draws plus
 the largest one-row call fit MAX_BATCH_BYTES, and at most the budget over
 that sum workers run. Each holds one chunk's draws and solves the most whole
 rows per call that fit min(SOLVE_BYTES, its share less the draws), at least
-one. McRun.plan["batch_bytes"] reports workers x (draws + the largest call).
+one and at most its piece of a chunk. McRun.plan["batch_bytes"] reports
+workers x (draws + the largest call).
 """
 
 from __future__ import annotations
@@ -184,13 +193,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads() -> int | None:
-    """BLAS threads per call from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS."""
-    text = (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-            or "").strip()
-    return int(text) if text.isdigit() and int(text) > 0 else None
-
-
 def run(config: McConfig) -> McRun:
     """Sample the configured sector and summarize the entropy statistics."""
     table = block_table(config.model, config.n_total, config.n_a, config.q_total)
@@ -207,16 +209,16 @@ def run(config: McConfig) -> McRun:
             f"one sample row needs {need} bytes ({draw_bytes} of chi^2 draws for {chunk} "
             f"rows, {need - draw_bytes} for one solve call of its {count} {m}x{big} "
             f"blocks), over the {MAX_BATCH_BYTES}-byte sampler budget")
-    cpus = _usable_cpus()
     work = config.samples * sum(count * m**3 for (m, _), count in groups)
-    # unset, BLAS may take every core: no room for our threads
-    workers = max(1, min(cpus // (_blas_threads() or cpus), chunk, work // MIN_TASK_WORK,
-                         MAX_BATCH_BYTES // need))
+    workers = max(1, min(_usable_cpus(), chunk, work // MIN_TASK_WORK, MAX_BATCH_BYTES // need))
     # each worker holds one chunk's draws and one solve call: the most whole
-    # rows of one shape group that fit the cap, at least one
+    # rows of one shape group that fit the cap, at least one, and at most the
+    # rows of its piece of a chunk
     cap = min(SOLVE_BYTES, MAX_BATCH_BYTES // workers - draw_bytes)
-    steps = [max(1, (cap - _call_bytes(group, 0))
-                 // (_call_bytes(group, 1) - _call_bytes(group, 0))) for group in groups]
+    piece = -(-chunk // workers)
+    steps = [min(piece, max(1, (cap - _call_bytes(group, 0))
+                            // (_call_bytes(group, 1) - _call_bytes(group, 0))))
+             for group in groups]
     dof = np.concatenate([
         np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
         for (m, big), count in groups])
@@ -239,11 +241,9 @@ def run(config: McConfig) -> McRun:
         with ThreadPoolExecutor(workers) as pool:
             entropies = sample(pool.map)
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
-    piece = -(-chunk // workers)  # the most rows a worker solves at once
-    call_bytes = max(_call_bytes(group, min(piece, step)) for group, step in zip(groups, steps))
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),
             "max_min_dim": groups[-1][0][0], "workers": workers,
-            "batch_bytes": workers * (draw_bytes + call_bytes)}
+            "batch_bytes": workers * (draw_bytes + max(map(_call_bytes, groups, steps)))}
     return McRun(entropies, float(np.mean(entropies)),
                  math.sqrt(var / config.samples), var, plan)

@@ -15,19 +15,6 @@ CROSSCHECK_KEYS = ("n", "q", "s_snapped", "exact", "asymptotic", "abs_diff", "sc
                    "mc_mean", "mc_std_error", "z", "status", "reason")
 
 
-def _exact_at_cuts(model: ChargeModel, n: int, s: float, cuts):
-    """Snap s at size n; then the tables built and, lazily, (n_a, ExactAverage) per cut.
-    A U(1) table serves both cuts of a mirror pair: at n - a it holds the (b, d) of a, and
-    ``block_average_entropy`` is symmetric and exactly rounded. SU(2) tables there differ."""
-    full = sector_dims(model, n)
-    q2 = full.snap(s)
-    cuts, u1 = set(cuts), model.group is GroupKind.U1
-    built = {min(a, n - a) for a in cuts} if u1 else cuts
-    return q2, len(built), ((a, res) for t in block_tables(full, q2, built)
-                            for res in (block_average_entropy(t),)
-                            for a in sorted({t.n_a, n - t.n_a if u1 else t.n_a} & cuts))
-
-
 def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
                exact: bool) -> tuple[list[dict], dict]:
     """Rows of one page curve and, with ``exact``, the exact route's meta; beta*(s),
@@ -37,14 +24,23 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
     values, meta = {}, {}
     if exact:
         inner = {n_a for n_a in cuts if 0 < n_a < n}
-        q2, tables = None, 0  # n < 2 has no cut to snap for
+        q2, built = None, set()  # n < 2 has no cut to snap for
         if inner:
-            q2, tables, pairs = _exact_at_cuts(model, n, s, inner)
-            values = {n_a: res.value for n_a, res in pairs}
+            full = sector_dims(model, n)
+            q2 = full.snap(s)
+            # a U(1) table serves both cuts of a mirror pair: at n - a it holds the (b, d)
+            # of a, and block_average_entropy is symmetric and exactly rounded. SU(2)
+            # tables there differ
+            u1 = model.group is GroupKind.U1
+            built = {min(a, n - a) for a in inner} if u1 else inner
+            for table in block_tables(full, q2, built):
+                values[table.n_a] = block_average_entropy(table).value
+                if u1:
+                    values[n - table.n_a] = values[table.n_a]
         bodies = inner | {n - n_a for n_a in inner}
         meta = {"entropy": ENTROPY, "q_snapped": None if q2 is None else charge_str(q2),
                 "distinct_cuts": len(inner), "convolutions": len(bodies) + 1 if bodies else 0,
-                "tables": tables}
+                "tables": len(built)}
     rows = []
     for f, n_a in zip(fractions, cuts):
         est = estimate_at_point(tp, model, f)
@@ -77,7 +73,8 @@ def crosscheck(model: ChargeModel, f: Fraction, s: float, n_list, samples: int,
             row.update(status="skipped", reason=f"f*n = {n_a} not an integer")
             continue
         n_a = int(n_a)
-        q2, _, pairs = _exact_at_cuts(model, n, s, [n_a])
+        full = sector_dims(model, n)
+        q2 = full.snap(s)
         s_snap = q2 / (2.0 * n)
         row.update(q=charge_str(q2), s_snapped=s_snap)
         try:
@@ -85,7 +82,8 @@ def crosscheck(model: ChargeModel, f: Fraction, s: float, n_list, samples: int,
         except ValueError as exc:
             row.update(status="skipped", reason=str(exc))
             continue
-        ((_, res),) = pairs
+        (table,) = block_tables(full, q2, [n_a])
+        res = block_average_entropy(table)
         total = est.total(n)
         scale = math.sqrt(n) if est.regime is Regime.F_HALF else float(n)
         scaled = abs(res.value - total) * scale

@@ -90,6 +90,8 @@ def test_asymptotic_log_dim_domain_errors():
         asymptotic_log_dim(catalog("u1-qubit"), 0.5, 32)
     with pytest.raises(ExtremalChargeError):
         asymptotic_log_dim(catalog("su2-qubit"), 0.0, 32)
+    with pytest.raises(ValueError, match="n = 0 must be >= 1"):
+        asymptotic_log_dim(catalog("u1-qubit"), 0.1, 0)
 
 
 def test_charge_density_moments_qubit():

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -108,6 +110,13 @@ def _density(model, u):
     return lo + u * (hi - lo)
 
 
+def model_file(tmp_path, model):
+    """The path of a JSON model file written for ``model``."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model.as_dict()), encoding="utf-8")
+    return str(path)
+
+
 def exact_curve(capsys, model_args, n, s, grid_args):
     code, out = invoke(capsys, "page-curve", *model_args, "--n", str(n), "--s",
                        repr(s), "--exact", "--format", "json", *grid_args)
@@ -146,12 +155,11 @@ def test_page_curve_exact_cells_equal_per_cut_average(capsys, name):
 @given(model=random_small_models(), n=st.integers(2, 14),
        grid=st.sampled_from(PAGE_GRIDS), u=st.floats(0.2, 0.8))
 def test_page_curve_exact_cells_equal_per_cut_average_custom_models(
-        capsys, model, n, grid, u):
+        capsys, tmp_path, model, n, grid, u):
     lo, hi = density_interval(model)
     assume(hi > lo and (model.group is GroupKind.U1 or hi > 0))
     s = _density(model, u)
-    doc = exact_curve(capsys, ("--model-file", json.dumps(model.as_dict())), n, s,
-                      grid[1])
+    doc = exact_curve(capsys, ("--model-file", model_file(tmp_path, model)), n, s, grid[1])
     assert_cells_match_per_cut(doc, model, n, s)
 
 
@@ -184,7 +192,8 @@ def test_page_curve_convolves_each_body_count_once(capsys, monkeypatch, n, grid_
     ChargeModel(GroupKind.U1, {-5: 1, -3: 1, 3: 1, 5: 1}),  # gapped lattice
     catalog("su2-qubit"), catalog("su2-trimer")], ids=lambda m: m.name or "u1-gapped")
 @pytest.mark.parametrize("n", [21, 16])
-def test_page_curve_evaluates_one_table_per_u1_mirror_pair(capsys, monkeypatch, model, n):
+def test_page_curve_evaluates_one_table_per_u1_mirror_pair(capsys, monkeypatch, tmp_path,
+                                                          model, n):
     evaluated = []
     original = routes.block_average_entropy
 
@@ -194,7 +203,7 @@ def test_page_curve_evaluates_one_table_per_u1_mirror_pair(capsys, monkeypatch, 
 
     monkeypatch.setattr(routes, "block_average_entropy", counting)
     s = _density(model, 0.37)
-    doc = exact_curve(capsys, ("--model-file", json.dumps(model.as_dict())), n, s,
+    doc = exact_curve(capsys, ("--model-file", model_file(tmp_path, model)), n, s,
                       ("--points", "30"))
     monkeypatch.undo()
     assert_cells_match_per_cut(doc, model, n, s)  # mirror cells too, bit for bit
@@ -349,7 +358,6 @@ def test_mc_meta_counts_the_shape_groups_solved_by_svd(capsys):
 
 def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
     monkeypatch.setattr(montecarlo, "MIN_TASK_WORK", 1)
     code, out = invoke(capsys, "mc", "--model", "su2-qubit", "--n", "10", "--na", "4",
                        "--q", "1", "--samples", "20", "--seed", "3", "--format", "json")
@@ -485,6 +493,16 @@ def test_unwritable_path_is_refused_before_any_work(tmp_path, capsys, monkeypatc
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_is_a_usage_error(capsys):
+    # /dev/full passes the writability check, then every write fails
+    code = main(["dims", "--model", "u1-qubit", "--n", "4", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: --out: cannot write '/dev/full': No space left on device" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("n_list, message", [
     ("8,x", "--n-list must be a comma list of integers, got '8,x'"),
     ("0", "--n-list must be >= 1, got 0"),
@@ -598,6 +616,7 @@ SEED_ERROR = "--seed must be in [0, 18446744073709551615], got "
      "n = 1 has no bipartition: a cut needs n >= 2"),
     (("exact", "--model", "u1-qutrit", "--n", "10", "--na", "3", "--q", "99"),
      "charge 99 (doubled 198) is not realizable for u1-qutrit with n = 10"),
+    (("dims", "--model", "u1-qubit", "--n", "0"), "n = 0 must be >= 1"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     assert main(list(argv)) == EXIT_USAGE
@@ -622,6 +641,22 @@ def test_model_file_flag(tmp_path, capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert {r["charge"]: r["dimension"] for r in rows} == {"0": "1", "1": "4", "2": "4"}
+
+
+def test_model_file_named_like_json_is_read_as_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("{q}.json").write_text(json.dumps({"group": "U1", "multiplicities": {"0": 1, "2": 2}}),
+                                encoding="utf-8")
+    code, out = invoke(capsys, "dims", "--model-file", "{q}.json", "--n", "2")
+    assert code == 0
+    assert parse_csv(out)[0]["model"]["multiplicities"] == {"0": 1, "2": 2}
+
+
+def test_model_file_takes_no_inline_json(capsys):
+    doc = json.dumps({"group": "U1", "multiplicities": {"0": 1, "2": 2}})
+    assert main(["dims", "--model-file", doc, "--n", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error: --model-file: cannot read" in captured.err and captured.out == ""
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -102,9 +102,6 @@ def test_load_model_roundtrip(tmp_path):
     assert from_dict == ChargeModel(GroupKind.SU2, {1: 2, 3: 1}, name="trimer-like")
     assert from_dict.as_dict() == doc
 
-    from_text = load_model(json.dumps(doc))
-    assert from_text == from_dict
-
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_model(str(path)) == from_dict

@@ -248,9 +248,8 @@ def test_admission_counts_one_solve_call_not_a_whole_row(monkeypatch):
 
 
 def force_workers(monkeypatch, cpus):
-    """Report ``cpus`` usable CPUs and one BLAS thread, and lift the work floor."""
+    """Report ``cpus`` usable CPUs and lift the work floor."""
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
     monkeypatch.setattr(montecarlo, "MIN_TASK_WORK", 1)
 
 
@@ -285,32 +284,29 @@ def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
         assert result.entropies.tobytes() == reference.entropies.tobytes()
 
 
-def test_blas_thread_count_read_from_environment(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    assert montecarlo._blas_threads() is None
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert montecarlo._blas_threads() == 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert montecarlo._blas_threads() == 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
-    assert montecarlo._blas_threads() is None
-
-
-def test_unpinned_blas_keeps_the_sampler_serial(monkeypatch):
-    # with no thread count set, BLAS may use every core, and threads of our
-    # own on top measured slower than one thread
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-    config = McConfig(catalog("u1-qubit"), 12, 6, 0, 600, 8)
-    assert config.samples * 15184 >= 4 * montecarlo.MIN_TASK_WORK  # sum m^3 = 15184
-    assert run(config).plan["workers"] == 1
+def test_worker_count_ignores_the_blas_environment():
+    # one sector above the work floor on two usable CPUs: the BLAS thread
+    # variables change neither the worker count nor a single entropy bit
+    assert 600 * 15184 >= 2 * montecarlo.MIN_TASK_WORK  # sum m^3 = 15184
+    code = ("import sys\n"
+            "from chargepage import montecarlo\n"
+            "from chargepage.models import catalog\n"
+            "montecarlo._usable_cpus = lambda: 2\n"
+            "run = montecarlo.run(montecarlo.McConfig(catalog('u1-qubit'), 12, 6, 0, 600, 8))\n"
+            "sys.stdout.write(f\"{run.plan['workers']} {run.entropies.tobytes().hex()}\")\n")
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    unset = {key: value for key, value in os.environ.items()
+             if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    outs = [subprocess.run([sys.executable, "-c", code],
+                           env={**unset, **blas, "PYTHONPATH": src},
+                           check=True, capture_output=True, text=True).stdout
+            for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "4"})]
+    assert outs[0].split()[0] == "2"
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_run_below_work_floor_uses_one_worker(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
     # u1-qubit N = 12 at the half cut: sum of m^3 over the blocks is 15184
     small = McConfig(catalog("u1-qubit"), 12, 6, 0, 50, 8)
     assert small.samples * 15184 < montecarlo.MIN_TASK_WORK
@@ -340,8 +336,8 @@ def test_serial_path_imports_no_thread_pool():
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert 'scipy' not in sys.modules\n")
     src = str(Path(montecarlo.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True)
 
 
 def test_parallel_run_shares_the_batch_budget(monkeypatch):

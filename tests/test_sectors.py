@@ -29,6 +29,11 @@ def test_weight_counts_zero_bodies_is_empty_product():
         assert weight_counts(catalog(name), 0) == {0: 1}
 
 
+def test_negative_body_counts_are_refused():
+    with pytest.raises(ValueError, match="n = -1 must be >= 0"):
+        weight_counts(catalog("u1-qubit"), -1)
+
+
 def test_weight_counts_two_species_bosons_two_bodies():
     model = catalog("u1-2bosons")
     expected = brute_force_u1_counts(model, 2)
