@@ -11,6 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping
 
 
@@ -24,8 +25,11 @@ class UnknownModelError(ValueError):
 
 def _integer(value, what: str) -> int:
     """An integer, integral float or decimal string as an int; never truncates."""
-    if isinstance(value, str) or isinstance(value, float) and value.is_integer():
-        return int(value)
+    try:
+        if isinstance(value, str) or isinstance(value, float) and value.is_integer():
+            return int(value)
+    except ValueError:  # a string such as '0.5' falls through to the error below
+        pass
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ModelValidationError(f"{what} = {value!r} must be an integer")
@@ -105,14 +109,12 @@ def weight_multiplicities(model: ChargeModel) -> dict[int, int]:
     For U1 these are the multiplicities themselves. For SU2 each irrep j
     contributes its multiplicity to every magnetic weight m = -j ... +j.
     """
-    weights: dict[int, int] = {}
     if model.group is GroupKind.U1:
-        for m2, a in model.multiplicities:
+        return dict(model.multiplicities)  # unique keys, stored sorted
+    weights: dict[int, int] = {}
+    for j2, a in model.multiplicities:
+        for m2 in range(-j2, j2 + 1, 2):
             weights[m2] = weights.get(m2, 0) + a
-    else:
-        for j2, a in model.multiplicities:
-            for m2 in range(-j2, j2 + 1, 2):
-                weights[m2] = weights.get(m2, 0) + a
     return dict(sorted(weights.items()))
 
 
@@ -164,6 +166,4 @@ def load_model(source) -> ChargeModel:
 
 def charge_str(q2: int) -> str:
     """Physical (possibly half-integer) rendering of a doubled charge."""
-    if q2 % 2 == 0:
-        return str(q2 // 2)
-    return f"{q2}/2"
+    return str(Fraction(q2, 2))

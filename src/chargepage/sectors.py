@@ -65,10 +65,7 @@ class BlockTable:
     D_{q_total}, stored once sum(d*b) has been checked against it.
     """
 
-    model: ChargeModel
-    n_total: int
     n_a: int
-    q_total: int
     blocks: tuple[tuple[int, int, int], ...]
     sector_dimension: int
 
@@ -169,7 +166,7 @@ def block_tables(full: SectorTable, q_total: int,
             total = sum(map(mul, ds, bs))
             if total != dim:
                 raise RuntimeError(f"block normalization broken: sum d*b = {total} != D_q = {dim}")
-            yield BlockTable(model, n_total, n_a, q_total, tuple(
+            yield BlockTable(n_a, tuple(
                 (lowest + step * i, d, b) for i, d, b in zip(count(lo), ds, bs) if d > 0 and b > 0
             ), dim)
         del counts  # freed before the next pair is convolved

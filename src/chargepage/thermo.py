@@ -46,7 +46,6 @@ class ChargeDistribution:
 class ThermoPoint:
     """Local thermodynamic data at one charge density s."""
 
-    s: float
     beta_star: float
     eta: float
     eta_pp: float
@@ -139,5 +138,5 @@ def thermo_point(model: ChargeModel, s: float) -> ThermoPoint:
     eta_pp = -1.0 / var  # exact identity: eta'' = -1/Var(mu) at beta*
     c_star = beta * beta * var
     alpha0 = 1.0 if model.group is GroupKind.U1 else 1.0 - math.exp(beta)
-    return ThermoPoint(s=s, beta_star=beta, eta=dist.log_z + beta * s, eta_pp=eta_pp,
+    return ThermoPoint(beta_star=beta, eta=dist.log_z + beta * s, eta_pp=eta_pp,
                        c_star=c_star, alpha0=alpha0)

@@ -391,7 +391,7 @@ def test_crosscheck_passes_and_exit_zero(capsys):
     _, rows = parse_csv(out)
     assert [row["status"] for row in rows] == ["pass", "pass"]
     for row in rows:
-        assert float(row["z"]) < 4
+        assert float(row["z"]) < 4  # 6.3e-5 per row, 1.3e-4 for both
         assert float(row["scaled_diff"]) < 2.0
 
 
@@ -399,6 +399,7 @@ def test_crosscheck_skips_infeasible(capsys):
     code, out = invoke(capsys, "crosscheck", "--model", "u1-qubit",
                        "--n-list", "8,9", "--f", "1/2", "--s", "0.0",
                        "--samples", "200", "--seed", "5")
+    # each run's N = 8 row must pass its |z| < 4 check: 6.3e-5 each, 1.3e-4 for both
     assert code == 0  # skipped rows do not fail the run
     _, rows = parse_csv(out)
     assert rows[1]["status"] == "skipped"
@@ -443,6 +444,14 @@ def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.err.startswith("chargepage: error: ") and captured.out == ""
+
+
+def test_non_integer_charge_key_is_a_named_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"group": "U1", "multiplicities": {"0.5": 1, "1": 1}}', encoding="utf-8")
+    assert main(["dims", "--model-file", str(path), "--n", "3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "chargepage: error: charge key = '0.5' must be an integer\n")
 
 
 def test_unreadable_model_file_is_a_usage_error(tmp_path, capsys):

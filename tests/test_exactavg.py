@@ -4,14 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from chargepage.models import catalog, catalog_names
+from chargepage.models import GroupKind, catalog, catalog_names
 from chargepage.sectors import BlockTable, EmptySectorError, block_table, \
     realizable_charges, sector_dims
 from chargepage.exactavg import _digamma_and_half_inverse, block_average_entropy, \
     exact_average_entropy
 from chargepage.montecarlo import McConfig, run
 
-from conftest import full_space_entropies
+from conftest import REDUCIBLE_PANEL, full_space_entropies
 
 
 def digamma_of_big_plus_one(d):
@@ -56,8 +56,7 @@ def test_block_average_entropy_matches_the_per_block_page_formula(blocks):
     # psi(D + 1) - sum (d b / D) [psi(M + 1) + (m - 1) / (2M)], M = max(d, b) and
     # m = min(d, b), in mpmath at 40 digits on hand-built tables
     dim = sum(d * b for d, b in blocks)
-    table = BlockTable(catalog("u1-qubit"), 0, 0, 0,
-                       tuple((2 * i, d, b) for i, (d, b) in enumerate(blocks)), dim)
+    table = BlockTable(0, tuple((2 * i, d, b) for i, (d, b) in enumerate(blocks)), dim)
     with mpmath.workdps(40):
         big = mpmath.mpf(dim)
         ref = mpmath.digamma(big + 1) - mpmath.fsum(
@@ -158,7 +157,7 @@ def test_mean_matches_monte_carlo_on_small_sectors():
         assert sector_dims(model, n).dims[q2] == dim
         exact = exact_average_entropy(model, n, n_a, q2).value
         mc = run(McConfig(model, n, n_a, q2, 10**6, 314159))
-        assert abs(mc.mean - exact) < 4 * mc.std_error
+        assert abs(mc.mean - exact) < 4 * mc.std_error  # 6.3e-5 per sector, 1.3e-4 for both
 
 
 # Ten full-space checks at 20k samples and |z| < 4: a false failure has
@@ -224,3 +223,40 @@ def test_su2_full_space_entropy_at_positive_spin_is_the_recorded_gap(n, n_a, q2,
     assert abs(value - code) < 0.0005
     assert abs(mean - full_space) < 4 * se + 0.0005
     assert mean - value > 10 * se
+
+
+# ROADMAP direction 12's reducible panel through the full-space oracle at the
+# sizes of that direction's table: U(1) equality, or the SU(2) singlet
+# identity above. Six |z| < 4 checks fail a correct program with probability
+# 6.3e-5 each, 3.8e-4 together. Spin 0 + 2 x spin 1 at N = 4 projects from a
+# 2401-dimensional space, so it takes 4000 samples, the others 10k, to keep
+# the panel within a few seconds.
+@pytest.mark.parametrize("index, n, n_a, q2, samples", [
+    pytest.param(0, 4, 2, 0, 10000, id="gapped-4-2-0"),
+    pytest.param(1, 5, 2, 1, 10000, id="lopsided-5-2-1"),
+    pytest.param(2, 4, 2, 8, 10000, id="skewed-4-2-8"),
+    pytest.param(3, 2, 1, 0, 10000, id="half-spins-2-1"),
+    pytest.param(4, 3, 1, 0, 10000, id="spin-0-1-3-1"),
+    pytest.param(4, 4, 2, 0, 4000, id="spin-0-1-4-2"),
+])
+def test_reducible_panel_matches_the_full_space_average(index, n, n_a, q2, samples):
+    model = REDUCIBLE_PANEL[index]
+    table = block_table(model, n, n_a, q2)
+    assert len(table.blocks) >= 2
+    expected = exact_average_entropy(model, n, n_a, q2).value
+    if model.group is GroupKind.SU2:
+        expected += math.fsum(d * b * math.log(qa2 + 1)
+                              for qa2, d, b in table.blocks) / table.sector_dimension
+    entropies = full_space_entropies(model, n, n_a, q2, np.random.default_rng(7), samples)
+    z = (entropies.mean() - expected) / (entropies.std(ddof=1) / math.sqrt(samples))
+    assert abs(z) < 4
+
+
+# The panel's Monte Carlo means against the exact formula on larger sectors
+# (blocks up to 12 x 32): five |z| < 4 checks at 20k samples, 3.2e-4 together.
+@pytest.mark.parametrize("index, n, n_a, q2", [
+    (0, 6, 2, 4), (1, 7, 3, 1), (2, 6, 2, 10), (3, 4, 2, 2), (4, 5, 2, 2)])
+def test_reducible_panel_monte_carlo_mean_matches_the_exact_formula(index, n, n_a, q2):
+    model = REDUCIBLE_PANEL[index]
+    mc = run(McConfig(model, n, n_a, q2, 20000, 20240809))
+    assert abs(mc.mean - exact_average_entropy(model, n, n_a, q2).value) < 4 * mc.std_error

@@ -130,6 +130,16 @@ def test_charge_keys_are_not_truncated():
         ChargeModel(GroupKind.U1, {False: 1, 2: 1})
 
 
+@pytest.mark.parametrize("mult, message", [
+    ({"0.5": 1, "1": 1}, "charge key = '0.5' must be an integer"),
+    ({"0": "two", "2": 1}, "multiplicity a[0] = 'two' must be an integer"),
+], ids=["charge-key", "multiplicity"])
+def test_non_integer_strings_name_their_field(mult, message):
+    with pytest.raises(ModelValidationError) as err:
+        load_model({"group": "U1", "multiplicities": mult})
+    assert str(err.value) == message
+
+
 def test_integral_numbers_and_strings_still_load():
     model = load_model({"group": "U1", "multiplicities": {"0": 1.0, "2": "2"}})
     assert model == ChargeModel(GroupKind.U1, {0: 1, 2: 2})
