@@ -67,6 +67,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -187,6 +188,11 @@ def _call_bytes(group, rows: int) -> int:
     return 8 * m * (rows * count * (m + 5) + m)
 
 
+def _count(x: int) -> str:
+    """``x`` exact up to 10^12, above that with 3 significant figures (1.23e+45)."""
+    return str(x) if x <= 10**12 else f"{Decimal(x):.3g}"  # a float overflows past 10^308
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -206,9 +212,10 @@ def run(config: McConfig) -> McRun:
     if need > MAX_BATCH_BYTES:
         (m, big), count = widest
         raise SectorSizeError(
-            f"one sample row needs {need} bytes ({draw_bytes} of chi^2 draws for {chunk} "
-            f"rows, {need - draw_bytes} for one solve call of its {count} {m}x{big} "
-            f"blocks), over the {MAX_BATCH_BYTES}-byte sampler budget")
+            f"one sample row needs {_count(need)} bytes ({_count(draw_bytes)} of chi^2 "
+            f"draws for {chunk} rows, {_count(need - draw_bytes)} for one solve call of its "
+            f"{count} {_count(m)}x{_count(big)} blocks), over the {MAX_BATCH_BYTES}-byte "
+            f"sampler budget")
     work = config.samples * sum(count * m**3 for (m, _), count in groups)
     workers = max(1, min(_usable_cpus(), chunk, work // MIN_TASK_WORK, MAX_BATCH_BYTES // need))
     # each worker holds one chunk's draws and one solve call: the most whole

@@ -1,15 +1,28 @@
 """Reports that set the routes side by side, as rows of numbers and strings:
-``page_curve`` with exact values at the nearest cuts, ``crosscheck`` with its pass rules."""
+``page_curve`` with exact values at the nearest cuts, ``crosscheck`` with its pass rules.
+
+A page curve's mirror pairs {a, N - a} are independent: each has its own
+weight counts and tables. They are dealt, ascending and round-robin, over
+k = min(usable CPUs, pairs) processes: this one and k - 1 children made by
+``os.fork``. Each child pickles its {n_A: value}, or its exception, back
+through a pipe and leaves by ``os._exit``. Its work is pure-Python integer
+arithmetic, which takes no lock that an idle BLAS thread could hold at the
+fork. A fork and its pipe cost about 2 ms. One usable CPU, one pair or no
+``os.fork`` runs every pair in this process.
+"""
 
 import math
+import os
+import pickle
 from fractions import Fraction
 
+from . import montecarlo
 from .asymptotics import Regime, average_entropy_asymptotic, checked_thermo_point, \
     estimate_at_point
 from .exactavg import ENTROPY, block_average_entropy
 from .models import ChargeModel, GroupKind, charge_str
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
-from .sectors import block_tables, sector_dims
+from .sectors import SectorTable, block_tables, sector_dims
 
 CROSSCHECK_KEYS = ("n", "q", "s_snapped", "exact", "asymptotic", "abs_diff", "scaled_diff",
                    "mc_mean", "mc_std_error", "z", "status", "reason")
@@ -24,7 +37,7 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
     values, meta = {}, {}
     if exact:
         inner = {n_a for n_a in cuts if 0 < n_a < n}
-        q2, built = None, set()  # n < 2 has no cut to snap for
+        q2, built, shares = None, set(), []  # n < 2 has no cut to snap for
         if inner:
             full = sector_dims(model, n)
             q2 = full.snap(s)
@@ -33,14 +46,18 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
             # tables there differ
             u1 = model.group is GroupKind.U1
             built = {min(a, n - a) for a in inner} if u1 else inner
-            for table in block_tables(full, q2, built):
-                values[table.n_a] = block_average_entropy(table).value
-                if u1:
-                    values[n - table.n_a] = values[table.n_a]
+            # the pairs, ascending, dealt round-robin over k processes (module docstring)
+            pairs = sorted({min(a, n - a) for a in built})
+            k = min(montecarlo._usable_cpus(), len(pairs)) if hasattr(os, "fork") else 1
+            shares = [[a for a in built if min(a, n - a) in pairs[i::k]] for i in range(k)]
+            for part in _in_processes(lambda cuts: _evaluate(full, q2, cuts), shares):
+                values.update(part)
+            if u1:
+                values.update({n - a: values[a] for a in built})
         bodies = inner | {n - n_a for n_a in inner}
         meta = {"entropy": ENTROPY, "q_snapped": None if q2 is None else charge_str(q2),
                 "distinct_cuts": len(inner), "convolutions": len(bodies) + 1 if bodies else 0,
-                "tables": len(built)}
+                "tables": len(built), "processes": len(shares)}
     rows = []
     for f, n_a in zip(fractions, cuts):
         est = estimate_at_point(tp, model, f)
@@ -55,6 +72,69 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
                 row.update(n_a="", f_exact="", q_snapped="", s_snapped="", exact="")
         rows.append(row)
     return rows, meta
+
+
+def _evaluate(full: SectorTable, q2: int, cuts: list[int]) -> dict[int, float]:
+    """{n_A: exact average} at each of ``cuts``, one mirror pair's tables at a time."""
+    return {table.n_a: block_average_entropy(table).value
+            for table in block_tables(full, q2, cuts)}
+
+
+def _in_processes(work, shares: list) -> list:
+    """[work(share) for share in shares]: the first share in this process, each
+    other in a forked child. A child's exception is raised here with its type and
+    message once every child is reaped; if this process's share raises, the
+    children are killed and reaped first."""
+    children = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(work, share, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [work(shares[0])]
+    except BaseException:
+        from signal import SIGKILL  # not at import: the signal module costs 0.6 ms to load
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        outcomes = [_reap(pid, read) for pid, read in children]
+    for status, data in outcomes:
+        if status != 0:
+            raise RuntimeError(f"a page-curve process ended with wait status {status}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _child(work, share, write: int) -> None:
+    """Run ``work(share)`` in a forked child, pickle (True, result) or (False, exception)
+    to ``write`` and leave by ``os._exit``: status 0 once the pickle is written."""
+    status = 1
+    try:
+        try:
+            out = True, work(share)
+        except BaseException as exc:
+            out = False, exc
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(out, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int) -> tuple[int, bytes]:
+    """(wait status, bytes written) of a child, read to end of file before the wait."""
+    with os.fdopen(read, "rb") as pipe:
+        data = pipe.read()
+    return os.waitpid(pid, 0)[1], data
 
 
 def crosscheck(model: ChargeModel, f: Fraction, s: float, n_list, samples: int,

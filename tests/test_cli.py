@@ -10,12 +10,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from chargepage import cli, montecarlo, routes, sectors
-from chargepage.cli import EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY, main
+from chargepage.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from chargepage.exactavg import exact_average_entropy
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names
 from chargepage.thermo import density_interval
 
-from conftest import random_small_models
+from conftest import REDUCIBLE_PANEL, random_small_models
 
 
 def invoke(capsys, *argv):
@@ -101,6 +101,12 @@ def test_page_curve_exact_rows_blank_without_a_cut(capsys):
         assert len(rows) == 3 and all(row["exact"] == "" for row in rows)
         assert meta["q_snapped"] is None
         assert meta["distinct_cuts"] == meta["convolutions"] == meta["tables"] == 0
+        assert meta["processes"] == 0
+
+
+def one_process(monkeypatch):
+    """Report one usable CPU, so a page curve evaluates every table in this process."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
 
 
 def _density(model, u):
@@ -167,6 +173,7 @@ def test_page_curve_exact_cells_equal_per_cut_average_custom_models(
                                           (16, ("--f", "1/4,1/4")),
                                           (16, ("--f", "1/2,3/4"))])
 def test_page_curve_convolves_each_body_count_once(capsys, monkeypatch, n, grid_args):
+    one_process(monkeypatch)  # a forked child's calls never reach this counter
     calls = Counter()
     original = sectors._power_coefficients
 
@@ -194,6 +201,7 @@ def test_page_curve_convolves_each_body_count_once(capsys, monkeypatch, n, grid_
 @pytest.mark.parametrize("n", [21, 16])
 def test_page_curve_evaluates_one_table_per_u1_mirror_pair(capsys, monkeypatch, tmp_path,
                                                           model, n):
+    one_process(monkeypatch)  # a forked child's calls never reach this list
     evaluated = []
     original = routes.block_average_entropy
 
@@ -216,9 +224,67 @@ def test_page_curve_evaluates_one_table_per_u1_mirror_pair(capsys, monkeypatch, 
     assert doc["meta"]["tables"] == len(evaluated)
 
 
-def test_page_curve_memory_holds_one_mirror_pair(capsys):
+@pytest.mark.parametrize("model", [*map(catalog, catalog_names()), *REDUCIBLE_PANEL], ids=[
+    *catalog_names(), "gapped", "lopsided", "skewed", "half-spins", "spin-0-1"])
+@pytest.mark.parametrize("n, grid_args", [(40, ("--points", "9")), (33, ("--points", "7"))])
+def test_page_curve_split_over_processes_gives_the_same_bytes(capsys, monkeypatch, tmp_path,
+                                                               model, n, grid_args):
+    args = ("page-curve", "--model-file", model_file(tmp_path, model), "--n", str(n),
+            "--s", repr(_density(model, 0.37)), "--exact", "--format", "json", *grid_args)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    code, split = invoke(capsys, *args)
+    assert code == 0
+    one_process(monkeypatch)
+    code, serial = invoke(capsys, *args)
+    assert code == 0
+    doc = json.loads(split)
+    pairs = {min(row["n_a"], n - row["n_a"]) for row in doc["rows"]}
+    assert len(pairs) >= 3
+    assert doc["meta"]["processes"] == 3 and json.loads(serial)["meta"]["processes"] == 1
+    assert split.replace('"processes": 3', '"processes": 1') == serial
+
+
+def test_page_curve_one_pair_runs_in_one_process(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    doc = exact_curve(capsys, ("--model", "su2-trimer"), 40, 0.3, ("--f", "1/4,3/4"))
+    assert doc["meta"]["tables"] == 2 and doc["meta"]["processes"] == 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing_cut, where", [(5, "child"), (2, "parent")])
+def test_a_failing_share_exits_three_and_leaves_no_child(capsys, monkeypatch,
+                                                         failing_cut, where):
+    # su2-qutrit N = 24, 9 points: pairs 2, 5, 7, 10, 12, so this process takes
+    # 2, 7 and 12 and the child 5 and 10
+    argv = ["page-curve", "--model", "su2-qutrit", "--n", "24", "--s", "0.3", "--exact",
+            "--points", "9"]
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    assert main(argv) == EXIT_OK
+    assert parse_csv(capsys.readouterr().out)[0]["processes"] == 2
+    assert_no_child_left()
+    original = routes.block_average_entropy
+
+    def failing(table):
+        if table.n_a == failing_cut:
+            raise RuntimeError(f"raised in the {where}")
+        return original(table)
+
+    monkeypatch.setattr(routes, "block_average_entropy", failing)
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"internal invariant violation: raised in the {where}" in captured.err
+    assert_no_child_left()
+
+
+def test_page_curve_memory_holds_one_mirror_pair(capsys, monkeypatch):
     # one exact_average_entropy at N/2 holds W(N), W(N/2) and one table; a
     # curve that kept all 99 tables alive peaked at 13x that
+    one_process(monkeypatch)  # tracemalloc does not see a forked child
     model = catalog("su2-trimer")
     q2 = sectors.sector_dims(model, 480).snap(0.6)
     tracemalloc.start()

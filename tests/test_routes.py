@@ -78,3 +78,13 @@ def test_exact_leg_fails_from_scaled_diff_equal_to_tol(monkeypatch):
         (row,) = routes.crosscheck(catalog("u1-qubit"), Fraction(1, 2), 0.0, [8],
                                    samples=100, seed=0, tol=tol)
         assert row["status"] == status
+
+
+def test_refusal_reason_of_a_huge_sector_stays_short():
+    # su2-trimer N = 192 at the half cut: blocks about 2e83 wide, whose byte counts
+    # printed in full made a 729-character reason
+    (row,) = routes.crosscheck(catalog("su2-trimer"), Fraction(1, 2), 0.25, [192],
+                               samples=10, seed=0, tol=2.0)
+    assert row["mc_mean"] == "" and len(row["reason"]) < 200
+    assert "e+83x" in row["reason"]
+    assert row["reason"].endswith(f"over the {montecarlo.MAX_BATCH_BYTES}-byte sampler budget")

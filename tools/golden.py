@@ -22,8 +22,9 @@ may differ only if its text contains an ``--allow`` TEXT; the exit status is
 The list covers every subcommand, the six catalog models and the five
 reducible models of ``tests/conftest.py``'s ``REDUCIBLE_PANEL`` (as
 ``--model-file``), csv and json output, written files, ``exact`` up to
-N = 1500, usage errors (exit 2), failing ``crosscheck`` rows (exit 1) and
-fixed-seed ``mc`` runs with few samples.
+N = 1500, exact page curves of one mirror pair and of many, usage errors
+(exit 2), failing ``crosscheck`` rows (exit 1) and fixed-seed ``mc`` runs
+with few samples.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ def _argvs() -> list[tuple[str, ...]]:
         ("exact", "--model", "u1-qubit", "--n", "8", "--na", "8", "--q", "0"),
         ("exact", "--model", "su2-trimer", "--n", "1500", "--na", "750", "--q", "0"),
         ("page-curve", "--model", "u1-qubit", "--n", "0", "--s", "0.1"),
+        # one mirror pair, so one process, beside the many-pair curves above
+        ("page-curve", "--model", "u1-qubit", "--n", "480", "--s", "0.1", "--exact",
+         "--f", "1/2"),
+        ("page-curve", "--model", "su2-trimer", "--n", "480", "--s", "0.25", "--exact",
+         "--f", "1/4,3/4"),
         # failing crosscheck rows (exit 1)
         ("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2", "--s", "0.0",
          "--samples", "200", "--tol", "1e-9"),
