@@ -2,13 +2,32 @@
 ``page_curve`` with exact values at the nearest cuts, ``crosscheck`` with its pass rules.
 
 A page curve's mirror pairs {a, N - a} are independent: each has its own
-weight counts and tables. They are dealt, ascending and round-robin, over
-k = min(usable CPUs, pairs) processes: this one and k - 1 children made by
-``os.fork``. Each child pickles its {n_A: value}, or its exception, back
-through a pipe and leaves by ``os._exit``. Its work is pure-Python integer
-arithmetic, which takes no lock that an idle BLAS thread could hold at the
-fork. A fork and its pipe cost about 2 ms. One usable CPU, one pair or no
-``os.fork`` runs every pair in this process.
+weight counts and tables. A curve with enough work deals them, ascending and
+round-robin, over k = min(usable CPUs, MAX_PROCESSES, pairs) processes: this
+one and k - 1 children made by ``os.fork``. Each child pickles its
+{n_A: value}, or its exception, back through a pipe and leaves by
+``os._exit``. Its work is pure-Python integer arithmetic, which takes no lock
+that an idle BLAS thread could hold at the fork. Each process holds one
+mirror pair's weight counts at a time, so a split curve holds up to k. If a
+pipe or a fork fails (no pid or memory to spare), the shares not yet dealt
+run in this process.
+
+A fork and its pipe cost about 2 ms of wall time and 5 ms of system CPU in
+copied pages, so a curve whose work, tables x N x log2(d) for local
+dimension d, is under MIN_SPLIT_WORK runs in one process. Wall time split over two
+processes against one, 99-point curves (2-vCPU x86-64, medians of 5):
+
+    model        N     work     one process   split/one
+    u1-qubit     160    8000       5.0 ms       1.13
+    su2-qubit    160   15840       6.6 ms       1.08
+    u1-qubit     320   16000       8.1 ms       0.89
+    su2-trimer    80   18960       9.4 ms       1.05
+    u1-2bosons   240   19020       7.6 ms       0.92
+    su2-qubit    240   23760       8.7 ms       0.93
+    u1-qubit     480   24000      12.2 ms       0.95
+    su2-trimer   480  142560      67.9 ms       0.61
+
+Only two processes have been measured, so MAX_PROCESSES is 2.
 """
 
 import math
@@ -24,6 +43,11 @@ from .models import ChargeModel, GroupKind, charge_str
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
 from .sectors import SectorTable, block_tables, sector_dims
 
+#: tables x N x log2(d) under which a page curve runs in one process (module docstring)
+MIN_SPLIT_WORK = 17_000
+#: the most processes a page curve is split over: the count measured (module docstring)
+MAX_PROCESSES = 2
+
 CROSSCHECK_KEYS = ("n", "q", "s_snapped", "exact", "asymptotic", "abs_diff", "scaled_diff",
                    "mc_mean", "mc_std_error", "z", "status", "reason")
 
@@ -37,7 +61,7 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
     values, meta = {}, {}
     if exact:
         inner = {n_a for n_a in cuts if 0 < n_a < n}
-        q2, built, shares = None, set(), []  # n < 2 has no cut to snap for
+        q2, built, processes = None, set(), 0  # n < 2 has no cut to snap for
         if inner:
             full = sector_dims(model, n)
             q2 = full.snap(s)
@@ -48,16 +72,19 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
             built = {min(a, n - a) for a in inner} if u1 else inner
             # the pairs, ascending, dealt round-robin over k processes (module docstring)
             pairs = sorted({min(a, n - a) for a in built})
-            k = min(montecarlo._usable_cpus(), len(pairs)) if hasattr(os, "fork") else 1
+            work = len(built) * n * math.log2(model.local_dim)
+            k = (min(montecarlo._usable_cpus(), MAX_PROCESSES, len(pairs))
+                 if work >= MIN_SPLIT_WORK and hasattr(os, "fork") else 1)
             shares = [[a for a in built if min(a, n - a) in pairs[i::k]] for i in range(k)]
-            for part in _in_processes(lambda cuts: _evaluate(full, q2, cuts), shares):
+            parts, processes = _in_processes(lambda cuts: _evaluate(full, q2, cuts), shares)
+            for part in parts:
                 values.update(part)
             if u1:
                 values.update({n - a: values[a] for a in built})
         bodies = inner | {n - n_a for n_a in inner}
         meta = {"entropy": ENTROPY, "q_snapped": None if q2 is None else charge_str(q2),
                 "distinct_cuts": len(inner), "convolutions": len(bodies) + 1 if bodies else 0,
-                "tables": len(built), "processes": len(shares)}
+                "tables": len(built), "processes": processes}
     rows = []
     for f, n_a in zip(fractions, cuts):
         est = estimate_at_point(tp, model, f)
@@ -80,22 +107,30 @@ def _evaluate(full: SectorTable, q2: int, cuts: list[int]) -> dict[int, float]:
             for table in block_tables(full, q2, cuts)}
 
 
-def _in_processes(work, shares: list) -> list:
-    """[work(share) for share in shares]: the first share in this process, each
-    other in a forked child. A child's exception is raised here with its type and
-    message once every child is reaped; if this process's share raises, the
-    children are killed and reaped first."""
-    children = []
+def _in_processes(work, shares: list) -> tuple[list, int]:
+    """([work(share) for share in shares] in some order, processes used): the first
+    share in this process, each other in a forked child while pipes and forks
+    succeed, and the rest here too. A child's exception is raised here with its
+    type and message once every child is reaped; if this process's work raises,
+    the children are killed and reaped first."""
+    children, mine = [], shares[:1]
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
+        for i, share in enumerate(shares[1:], 1):
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError:  # no fd, pid or memory to spare: the rest run here
+                for fd in fds:
+                    os.close(fd)
+                mine = [shares[0], *shares[i:]]
+                break
             if pid == 0:
                 os.close(read)
                 _child(work, share, write)
             os.close(write)
             children.append((pid, read))
-        results = [work(shares[0])]
+        results = [work(share) for share in mine]
     except BaseException:
         from signal import SIGKILL  # not at import: the signal module costs 0.6 ms to load
 
@@ -111,7 +146,7 @@ def _in_processes(work, shares: list) -> list:
         if not ok:
             raise value
         results.append(value)
-    return results
+    return results, 1 + len(children)
 
 
 def _child(work, share, write: int) -> None:

@@ -109,6 +109,14 @@ def one_process(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
 
 
+def split_over(monkeypatch, processes):
+    """Report ``processes`` usable CPUs and lift the work floor and the process cap,
+    so a page curve with that many mirror pairs is split over that many processes."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(routes, "MIN_SPLIT_WORK", 0)
+    monkeypatch.setattr(routes, "MAX_PROCESSES", processes)
+
+
 def _density(model, u):
     lo, hi = density_interval(model)
     if model.group is GroupKind.SU2:
@@ -231,7 +239,7 @@ def test_page_curve_split_over_processes_gives_the_same_bytes(capsys, monkeypatc
                                                                model, n, grid_args):
     args = ("page-curve", "--model-file", model_file(tmp_path, model), "--n", str(n),
             "--s", repr(_density(model, 0.37)), "--exact", "--format", "json", *grid_args)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    split_over(monkeypatch, 3)
     code, split = invoke(capsys, *args)
     assert code == 0
     one_process(monkeypatch)
@@ -245,9 +253,56 @@ def test_page_curve_split_over_processes_gives_the_same_bytes(capsys, monkeypatc
 
 
 def test_page_curve_one_pair_runs_in_one_process(capsys, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    split_over(monkeypatch, 2)
     doc = exact_curve(capsys, ("--model", "su2-trimer"), 40, 0.3, ("--f", "1/4,3/4"))
     assert doc["meta"]["tables"] == 2 and doc["meta"]["processes"] == 1
+
+
+@pytest.mark.parametrize("name, n, processes", [
+    ("su2-trimer", 40, 1),  # 19 tables x 40 x log2 8 = 2280, under the floor
+    ("u1-qubit", 480, 1),  # 10 tables x 480 x log2 2 = 4800
+    ("su2-trimer", 480, 2),  # 19 x 480 x log2 8 = 27360: split, capped at two
+])
+def test_page_curve_splits_above_the_work_floor_into_two_processes(capsys, monkeypatch,
+                                                                    name, n, processes):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    doc = exact_curve(capsys, ("--model", name), n, 0.3, ("--points", "19"))
+    assert doc["meta"]["processes"] == processes
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+@pytest.mark.parametrize("call, fails_at", [("pipe", 1), ("fork", 1), ("fork", 2)])
+def test_a_failed_pipe_or_fork_runs_the_rest_in_this_process(capsys, monkeypatch,
+                                                               call, fails_at):
+    # a process or memory limit makes os.fork raise BlockingIOError; the one-process
+    # curve does not need it, so the split falls back to that rather than exit 3
+    args = ("page-curve", "--model", "su2-qutrit", "--n", "24", "--s", "0.3", "--exact",
+            "--points", "9", "--format", "json")
+    one_process(monkeypatch)
+    code, serial = invoke(capsys, *args)
+    assert code == 0
+    split_over(monkeypatch, 3)
+    original, calls = getattr(os, call), []
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == fails_at:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return original(*a)
+
+    fds = _open_fds()
+    monkeypatch.setattr(os, call, failing)
+    code, split = invoke(capsys, *args)
+    monkeypatch.undo()
+    assert code == 0
+    assert json.loads(split)["meta"]["processes"] == fails_at
+    assert split.replace(f'"processes": {fails_at}', '"processes": 1') == serial
+    assert _open_fds() == fds
+    assert_no_child_left()
 
 
 def assert_no_child_left():
@@ -262,7 +317,7 @@ def test_a_failing_share_exits_three_and_leaves_no_child(capsys, monkeypatch,
     # 2, 7 and 12 and the child 5 and 10
     argv = ["page-curve", "--model", "su2-qutrit", "--n", "24", "--s", "0.3", "--exact",
             "--points", "9"]
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    split_over(monkeypatch, 2)
     assert main(argv) == EXIT_OK
     assert parse_csv(capsys.readouterr().out)[0]["processes"] == 2
     assert_no_child_left()
