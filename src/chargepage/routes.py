@@ -2,31 +2,39 @@
 ``page_curve`` with exact values at the nearest cuts, ``crosscheck`` with its pass rules.
 
 A page curve's mirror pairs {a, N - a} are independent: each has its own
-weight counts and tables. A curve with enough work deals them, ascending and
-round-robin, over k = min(usable CPUs, MAX_PROCESSES, pairs) processes: this
-one and k - 1 children made by ``os.fork``. Each child pickles its
+weight counts and tables. A curve with enough work evaluates them in
+k = min(usable CPUs, MAX_PROCESSES, pairs) processes: this one and k - 1
+children made by ``os.fork``. Before the fork one ticket per pair, heaviest
+pair (largest a) first, goes into a pipe, and each process draws one ticket at
+a time until the pipe is empty: a process on a slow or busy CPU draws fewer,
+and the last pairs drawn are the cheapest. Each child pickles its
 {n_A: value}, or its exception, back through a pipe and leaves by
 ``os._exit``. Its work is pure-Python integer arithmetic, which takes no lock
 that an idle BLAS thread could hold at the fork. Each process holds one
 mirror pair's weight counts at a time, so a split curve holds up to k. If a
-pipe or a fork fails (no pid or memory to spare), the shares not yet dealt
-run in this process.
+pipe or a fork fails (no fd, pid or memory to spare), the processes already
+running draw every ticket.
 
-A fork and its pipe cost about 2 ms of wall time and 5 ms of system CPU in
-copied pages, so a curve whose work, tables x N x log2(d) for local
-dimension d, is under MIN_SPLIT_WORK runs in one process. Wall time split over two
-processes against one, 99-point curves (2-vCPU x86-64, medians of 5):
+A split pays a few ms for the fork, the pages both processes then copy and the
+child's exit, and it needs a second core that nothing here sees: beside a
+busy loop pinned to one of two CPUs every curve below ran slower split than in
+one process, and benchmark runs of split curves spread wider from run to run.
+So a curve whose work, tables x N x log2(d) for local dimension d, is under
+MIN_SPLIT_WORK, about 50 ms in one process, runs in one process. Wall time of
+page curves (2-vCPU x86-64, medians of 16, a fresh interpreter each):
 
-    model        N     work     one process   split/one
-    u1-qubit     160    8000       5.0 ms       1.13
-    su2-qubit    160   15840       6.6 ms       1.08
-    u1-qubit     320   16000       8.1 ms       0.89
-    su2-trimer    80   18960       9.4 ms       1.05
-    u1-2bosons   240   19020       7.6 ms       0.92
-    su2-qubit    240   23760       8.7 ms       0.93
-    u1-qubit     480   24000      12.2 ms       0.95
-    su2-trimer   480  142560      67.9 ms       0.61
+    model        N  points    work   one process   split/one   beside a busy CPU
+    u1-qubit     480   99    24000      16.6 ms       0.98          1.48
+    su2-qubit    480   99    47520      28.4 ms       0.80          1.21
+    su2-trimer   960   19    54720      49.1 ms       0.75          1.00
+    su2-trimer   240   99    71280      44.0 ms       0.78          1.06
+    su2-qutrit   480   99    75317      42.6 ms       0.78          1.08
+    u1-qutrit    960   99    76078      83.0 ms       0.67          1.05
+    su2-qubit    960   99    95040      41.9 ms       0.80          1.15
+    su2-trimer   480   99   142560      88.4 ms       0.65          1.02
 
+The estimate counts a U(1) table, one per pair, like an SU(2) table, two per
+pair, so it ranks U(1) curves low: u1-qutrit at N = 960 stays in one process.
 Only two processes have been measured, so MAX_PROCESSES is 2.
 """
 
@@ -44,7 +52,7 @@ from .montecarlo import McConfig, SectorSizeError, run as mc_run
 from .sectors import SectorTable, block_tables, sector_dims
 
 #: tables x N x log2(d) under which a page curve runs in one process (module docstring)
-MIN_SPLIT_WORK = 17_000
+MIN_SPLIT_WORK = 100_000
 #: the most processes a page curve is split over: the count measured (module docstring)
 MAX_PROCESSES = 2
 
@@ -70,15 +78,16 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
             # tables there differ
             u1 = model.group is GroupKind.U1
             built = {min(a, n - a) for a in inner} if u1 else inner
-            # the pairs, ascending, dealt round-robin over k processes (module docstring)
-            pairs = sorted({min(a, n - a) for a in built})
+            # each mirror pair's cuts, heaviest pair first (module docstring)
+            pairs = {}
+            for a in sorted(built):
+                pairs.setdefault(min(a, n - a), []).append(a)
             work = len(built) * n * math.log2(model.local_dim)
             k = (min(montecarlo._usable_cpus(), MAX_PROCESSES, len(pairs))
                  if work >= MIN_SPLIT_WORK and hasattr(os, "fork") else 1)
-            shares = [[a for a in built if min(a, n - a) in pairs[i::k]] for i in range(k)]
-            parts, processes = _in_processes(lambda cuts: _evaluate(full, q2, cuts), shares)
-            for part in parts:
-                values.update(part)
+            values, processes = _in_processes(
+                lambda cuts: _evaluate(full, q2, cuts),
+                [pairs[a] for a in sorted(pairs, reverse=True)], k)
             if u1:
                 values.update({n - a: values[a] for a in built})
         bodies = inner | {n - n_a for n_a in inner}
@@ -107,30 +116,54 @@ def _evaluate(full: SectorTable, q2: int, cuts: list[int]) -> dict[int, float]:
             for table in block_tables(full, q2, cuts)}
 
 
-def _in_processes(work, shares: list) -> tuple[list, int]:
-    """([work(share) for share in shares] in some order, processes used): the first
-    share in this process, each other in a forked child while pipes and forks
-    succeed, and the rest here too. A child's exception is raised here with its
-    type and message once every child is reaped; if this process's work raises,
-    the children are killed and reaped first."""
-    children, mine = [], shares[:1]
+def _in_processes(work, shares: list, k: int) -> tuple[dict, int]:
+    """(the dicts ``work(share)`` of every share merged, processes used): this
+    process and up to k - 1 forked children each evaluate one share at a time,
+    taking the next from a pipe of tickets until it is empty, so a process on a
+    busy CPU takes fewer shares. If a pipe or a fork fails, the
+    processes already running take every ticket. A child's exception is raised
+    here with its type and message once every child is reaped; if this
+    process's work raises, the children are killed and reaped first."""
+    if k > 1:
+        try:
+            tickets, fill = os.pipe()
+        except OSError:  # no fd to spare: one process
+            k = 1
+    if k == 1:
+        values = {}
+        for share in shares:
+            values.update(work(share))
+        return values, 1
+    # one 4-byte ticket per share, or per stride of shares, written at once: a pipe
+    # holds PIPE_BUF bytes before any reader, so the write cannot block
+    stride = min(len(shares), os.fpathconf(tickets, "PC_PIPE_BUF") // 4)
+    os.write(fill, b"".join(t.to_bytes(4, "little") for t in range(stride)))
+    os.close(fill)
+
+    def drain() -> dict:
+        values = {}
+        while ticket := os.read(tickets, 4):
+            for share in shares[int.from_bytes(ticket, "little")::stride]:
+                values.update(work(share))
+        return values
+
+    children = []
     try:
-        for i, share in enumerate(shares[1:], 1):
+        for _ in range(k - 1):
             fds = ()
             try:
                 fds = read, write = os.pipe()
                 pid = os.fork()
-            except OSError:  # no fd, pid or memory to spare: the rest run here
+            except OSError:  # no fd, pid or memory to spare: fewer processes drain
                 for fd in fds:
                     os.close(fd)
-                mine = [shares[0], *shares[i:]]
                 break
             if pid == 0:
                 os.close(read)
-                _child(work, share, write)
+                _child(drain, write)
             os.close(write)
             children.append((pid, read))
-        results = [work(share) for share in mine]
+        values = drain()
     except BaseException:
         from signal import SIGKILL  # not at import: the signal module costs 0.6 ms to load
 
@@ -138,6 +171,7 @@ def _in_processes(work, shares: list) -> tuple[list, int]:
             os.kill(pid, SIGKILL)
         raise
     finally:
+        os.close(tickets)
         outcomes = [_reap(pid, read) for pid, read in children]
     for status, data in outcomes:
         if status != 0:
@@ -145,17 +179,17 @@ def _in_processes(work, shares: list) -> tuple[list, int]:
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        results.append(value)
-    return results, 1 + len(children)
+        values.update(value)
+    return values, 1 + len(children)
 
 
-def _child(work, share, write: int) -> None:
-    """Run ``work(share)`` in a forked child, pickle (True, result) or (False, exception)
+def _child(work, write: int) -> None:
+    """Run ``work()`` in a forked child, pickle (True, result) or (False, exception)
     to ``write`` and leave by ``os._exit``: status 0 once the pickle is written."""
     status = 1
     try:
         try:
-            out = True, work(share)
+            out = True, work()
         except BaseException as exc:
             out = False, exc
         with os.fdopen(write, "wb") as pipe:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -258,16 +259,33 @@ def test_page_curve_one_pair_runs_in_one_process(capsys, monkeypatch):
     assert doc["meta"]["tables"] == 2 and doc["meta"]["processes"] == 1
 
 
-@pytest.mark.parametrize("name, n, processes", [
-    ("su2-trimer", 40, 1),  # 19 tables x 40 x log2 8 = 2280, under the floor
-    ("u1-qubit", 480, 1),  # 10 tables x 480 x log2 2 = 4800
-    ("su2-trimer", 480, 2),  # 19 x 480 x log2 8 = 27360: split, capped at two
+@pytest.mark.parametrize("name, n, points, processes", [
+    ("su2-trimer", 40, "19", 1),  # 19 tables x 40 x log2 8 = 2280, under the floor
+    ("su2-qutrit", 480, "99", 1),  # 99 x 480 x log2 3 = 75317
+    ("su2-trimer", 480, "99", 2),  # 99 x 480 x log2 8 = 142560: split, capped at two
 ])
 def test_page_curve_splits_above_the_work_floor_into_two_processes(capsys, monkeypatch,
-                                                                    name, n, processes):
+                                                                    name, n, points, processes):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
-    doc = exact_curve(capsys, ("--model", name), n, 0.3, ("--points", "19"))
+    doc = exact_curve(capsys, ("--model", name), n, 0.3, ("--points", points))
     assert doc["meta"]["processes"] == processes
+
+
+def test_fewer_tickets_than_pairs_still_cover_every_pair(capsys, monkeypatch):
+    # a pipe that took 8 bytes before any reader holds two 4-byte tickets, so each
+    # ticket covers every other one of the five pairs
+    args = ("page-curve", "--model", "su2-qutrit", "--n", "24", "--s", "0.3", "--exact",
+            "--points", "9", "--format", "json")
+    one_process(monkeypatch)
+    code, serial = invoke(capsys, *args)
+    assert code == 0
+    split_over(monkeypatch, 3)
+    fpathconf = os.fpathconf
+    monkeypatch.setattr(os, "fpathconf", lambda fd, name: 8 if name == "PC_PIPE_BUF"
+                        else fpathconf(fd, name))
+    code, split = invoke(capsys, *args)
+    assert code == 0
+    assert split.replace('"processes": 3', '"processes": 1') == serial
 
 
 def _open_fds():
@@ -310,22 +328,26 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("failing_cut, where", [(5, "child"), (2, "parent")])
-def test_a_failing_share_exits_three_and_leaves_no_child(capsys, monkeypatch,
-                                                         failing_cut, where):
-    # su2-qutrit N = 24, 9 points: pairs 2, 5, 7, 10, 12, so this process takes
-    # 2, 7 and 12 and the child 5 and 10
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_share_exits_three_and_leaves_no_child(capsys, monkeypatch, tmp_path, where):
+    # su2-qutrit N = 24, 9 points: five pairs. Which process takes which pair is up
+    # to the scheduler, so the patched average raises by process; with "child" this
+    # process holds its first pair until the child has raised, so the child draws one
     argv = ["page-curve", "--model", "su2-qutrit", "--n", "24", "--s", "0.3", "--exact",
             "--points", "9"]
     split_over(monkeypatch, 2)
     assert main(argv) == EXIT_OK
     assert parse_csv(capsys.readouterr().out)[0]["processes"] == 2
     assert_no_child_left()
-    original = routes.block_average_entropy
+    original, parent, raised = routes.block_average_entropy, os.getpid(), tmp_path / "raised"
 
     def failing(table):
-        if table.n_a == failing_cut:
+        if (os.getpid() == parent) == (where == "parent"):
+            raised.touch()
             raise RuntimeError(f"raised in the {where}")
+        deadline = time.monotonic() + 60
+        while not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
         return original(table)
 
     monkeypatch.setattr(routes, "block_average_entropy", failing)

@@ -22,9 +22,9 @@ may differ only if its text contains an ``--allow`` TEXT; the exit status is
 The list covers every subcommand, the six catalog models and the five
 reducible models of ``tests/conftest.py``'s ``REDUCIBLE_PANEL`` (as
 ``--model-file``), csv and json output, written files, ``exact`` up to
-N = 1500, exact page curves of one mirror pair and of many, usage errors
-(exit 2), failing ``crosscheck`` rows (exit 1) and fixed-seed ``mc`` runs
-with few samples.
+N = 1500, exact page curves of one mirror pair and of many, in one process
+and split, usage errors (exit 2), failing ``crosscheck`` rows (exit 1) and
+fixed-seed ``mc`` runs with few samples.
 """
 
 from __future__ import annotations
@@ -133,6 +133,9 @@ def _argvs() -> list[tuple[str, ...]]:
          "--f", "1/2"),
         ("page-curve", "--model", "su2-trimer", "--n", "480", "--s", "0.25", "--exact",
          "--f", "1/4,3/4"),
+        # work above routes.MIN_SPLIT_WORK, so two processes on a multi-CPU host
+        ("page-curve", "--model", "su2-trimer", "--n", "480", "--s", "0.25", "--exact",
+         "--points", "99"),
         # failing crosscheck rows (exit 1)
         ("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2", "--s", "0.0",
          "--samples", "200", "--tol", "1e-9"),
