@@ -1,13 +1,12 @@
 """Command-line front end: each subcommand checks its flags, makes one library
-call (page-curve and crosscheck go through ``routes``) and prints the result.
+call (page-curve and crosscheck go through ``routes``) and returns its rows and
+its own meta keys. ``main`` reads the model of --model or --model-file, heads
+the meta with tool, version, command and model, and writes csv or json with the
+same numbers. Subcommands: dims, thermo, page-curve, exact, mc, crosscheck.
 
-Subcommands: dims, thermo, page-curve, exact, mc, crosscheck. Each takes
-exactly one of --model and --model-file and writes csv or json with the same
-numbers, after a metadata block (model echo, version, seed).
-
-Exit codes: 0 success, 1 a verification ran and failed (crosscheck), 2 usage
-or domain error (including unreadable or unwritable paths), 3 internal
-invariant violation or any other unexpected error.
+Exit codes: 0 success, 1 a verification ran and failed (a row with status
+fail), 2 usage or domain error (including unreadable or unwritable paths), 3
+internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -136,11 +135,18 @@ def _emit(rows: list[dict], meta: dict, args) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_dims(args) -> int:
-    model = _resolve_model(args)
-    meta = {"command": "dims", "model": model.as_dict(), "n": args.n}
+def cmd_dims(args, model: ChargeModel) -> tuple[list[dict], dict]:
     if (args.na is None) != (args.q is None):
         raise ValueError("--na and --q must be given together")
+    # every dimension printed, d * b included, is at most local_dim ** n: a bound that
+    # can refuse an n a few bodies below where the largest dimension itself would fail
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    n_max = math.ceil(limit / math.log10(model.local_dim))
+    if limit and args.n >= n_max:
+        raise ValueError(f"--n must be < {n_max} here: dimensions up to {model.local_dim}**n "
+                         f"would pass the {limit}-digit limit for printing integers, "
+                         f"got {args.n}")
+    meta = {"n": args.n}
     if args.na is None:
         table = sector_dims(model, args.n)
         rows = [{"charge": charge_str(q2), "dimension": str(d)}
@@ -153,14 +159,12 @@ def cmd_dims(args) -> int:
         rows = [{"charge_a": charge_str(qa2), "dim_a": str(d), "dim_b": str(b),
                  "product": str(d * b)}
                 for qa2, d, b in table.blocks]
-    _emit(rows, meta, args)
-    return EXIT_OK
+    return rows, meta
 
 
-def cmd_thermo(args) -> int:
+def cmd_thermo(args, model: ChargeModel) -> tuple[list[dict], dict]:
     size = 99 if args.grid is None else args.grid
     _require("--grid", size, 1)
-    model = _resolve_model(args)
     lo, hi = density_interval(model)
     if model.group is GroupKind.SU2:
         lo = 0.0  # spins; s = 0 itself is the extremal point alpha0 = 0
@@ -176,8 +180,7 @@ def cmd_thermo(args) -> int:
         tp = thermo_point(model, s)
         rows.append({"s": s, "beta_star": tp.beta_star, "eta": tp.eta,
                      "eta_pp": tp.eta_pp, "c_star": tp.c_star, "alpha0": tp.alpha0})
-    _emit(rows, {"command": "thermo", "model": model.as_dict()}, args)
-    return EXIT_OK
+    return rows, {}
 
 
 def _plot_svg(rows, path, n):
@@ -215,26 +218,21 @@ def _plot_svg(rows, path, n):
     _write("--plot", path, ["\n".join(svg) + "\n"])
 
 
-def cmd_page_curve(args) -> int:
+def cmd_page_curve(args, model: ChargeModel) -> tuple[list[dict], dict]:
     points = 19 if args.points is None else args.points
     _require("--n", args.n, 0)
     _require("--points", points, 1)
-    model = _resolve_model(args)
     if args.f is not None:
         fractions = [_parse_fraction(tok) for tok in args.f.split(",")]
     else:
         fractions = [Fraction(i, points + 1) for i in range(1, points + 1)]
     rows, exact_meta = routes.page_curve(model, args.n, args.s, fractions, args.exact)
-    meta = {"command": "page-curve", "model": model.as_dict(), "n": args.n,
-            "s": args.s, **exact_meta}
     if args.plot:
         _plot_svg(rows, args.plot, args.n)
-    _emit(rows, meta, args)
-    return EXIT_OK
+    return rows, {"n": args.n, "s": args.s, **exact_meta}
 
 
-def cmd_exact(args) -> int:
-    model = _resolve_model(args)
+def cmd_exact(args, model: ChargeModel) -> tuple[list[dict], dict]:
     q2 = _parse_charge(args.q)
     res = exact_average_entropy(model, args.n, args.na, q2)
     rows = [{
@@ -242,19 +240,15 @@ def cmd_exact(args) -> int:
         "value": res.value, "y1": res.y1, "y2": res.y2, "y3": res.y3,
         "degenerate": res.degenerate,
     }]
-    _emit(rows, {"command": "exact", "model": model.as_dict(), "entropy": ENTROPY}, args)
-    return EXIT_OK
+    return rows, {"entropy": ENTROPY}
 
 
-def cmd_mc(args) -> int:
-    model = _resolve_model(args)
+def cmd_mc(args, model: ChargeModel) -> tuple[list[dict], dict]:
     q2 = _parse_charge(args.q)
     _require("--samples", args.samples, 1)
     _require("--seed", args.seed, 0, 2**64 - 1)
     config = McConfig(model, args.n, args.na, q2, args.samples, args.seed)
     result = mc_run(config)
-    meta = {"command": "mc", "model": model.as_dict(), "entropy": ENTROPY, "seed": args.seed,
-            **result.plan}
     rows = [{
         "n": args.n, "n_a": args.na, "q": charge_str(q2),
         "samples": args.samples, "seed": args.seed,
@@ -268,12 +262,10 @@ def cmd_mc(args) -> int:
             ["# chargepage mc raw samples, one entropy per line\n",
              f"# meta: {json.dumps(header)}\n"],
             (repr(float(value)) + "\n" for value in result.entropies)))
-    _emit(rows, meta, args)
-    return EXIT_OK
+    return rows, {"entropy": ENTROPY, "seed": args.seed, **result.plan}
 
 
-def cmd_crosscheck(args) -> int:
-    model = _resolve_model(args)
+def cmd_crosscheck(args, model: ChargeModel) -> tuple[list[dict], dict]:
     f = _parse_fraction(args.f)
     n_list = _parse_n_list(args.n_list)
     _require("--samples", args.samples, 2)  # one sample has no standard error
@@ -281,11 +273,8 @@ def cmd_crosscheck(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     rows = routes.crosscheck(model, f, args.s, n_list, args.samples, args.seed, args.tol)
-    meta = {"command": "crosscheck", "model": model.as_dict(),
-            "f": str(f), "s": args.s, "samples": args.samples,
-            "seed": args.seed, "tolerance": args.tol}
-    _emit(rows, meta, args)
-    return EXIT_VERIFY if any(row["status"] == "fail" for row in rows) else EXIT_OK
+    return rows, {"f": str(f), "s": args.s, "samples": args.samples, "seed": args.seed,
+                  "tolerance": args.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +364,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_writable(args)
-        return args.func(args)
+        model = _resolve_model(args)
+        rows, meta = args.func(args, model)
+        _emit(rows, {"command": args.command, "model": model.as_dict(), **meta}, args)
+        return EXIT_VERIFY if any(row.get("status") == "fail" for row in rows) else EXIT_OK
     except ValueError as exc:
         print(f"chargepage: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

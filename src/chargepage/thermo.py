@@ -87,9 +87,8 @@ def _check_density(model: ChargeModel, s: float) -> None:
             "weight support is a single point; mean charge cannot be tuned"
         )
     if not (lo + BOUNDARY_EPS <= s <= hi - BOUNDARY_EPS):
-        raise DensityDomainError(
-            f"s = {s} outside open density interval ({lo}, {hi}); beta* diverges"
-        )
+        raise DensityDomainError(f"s = {s} outside density interval "
+                                 f"[{lo + BOUNDARY_EPS}, {hi - BOUNDARY_EPS}]; beta* diverges")
 
 
 def solve_beta_star(model: ChargeModel, s: float) -> float:

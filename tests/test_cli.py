@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -410,6 +411,33 @@ def test_page_curve_exact_at_large_n(capsys):
     assert abs(float(rows[0]["exact"]) - float(rows[0]["total"])) < 0.5
 
 
+@pytest.mark.parametrize("limit", ["4300", "0", "absent"])
+def test_dims_prints_every_n_under_the_digit_limit(capsys, tmp_path, monkeypatch, limit):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_MODEL), encoding="utf-8")
+    n, old = 42, sys.get_int_max_str_digits()
+    try:
+        if limit != "4300":  # no limit: N = 43 and its 4301-digit dimension print too
+            n = 43
+            sys.set_int_max_str_digits(0)
+            if limit == "absent":  # as in an interpreter that predates the limit
+                monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, out = invoke(capsys, "dims", "--model-file", str(path), "--n", str(n))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == EXIT_OK
+    assert parse_csv(out)[1][0]["dimension"] == "1" + "0" * (100 * n)
+
+
+@pytest.mark.parametrize("extra", [(), ("--na", "7000", "--q", "0")], ids=["sector", "blocks"])
+def test_dims_refuses_an_unprintable_n_before_any_convolution(capsys, monkeypatch, extra):
+    for name in ("sector_dims", "block_table"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a convolution ran"))
+    assert main(["dims", "--model", "u1-qubit", "--n", "15000", *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error: --n must be < 14285 here" in captured.err and captured.out == ""
+
+
 def test_dims_at_large_n(capsys):
     code, out = invoke(capsys, "dims", "--model", "u1-qubit", "--n", "512")
     assert code == 0
@@ -561,8 +589,8 @@ def test_crosscheck_skips_infeasible(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert [row["status"] for row in rows] == ["skipped", "skipped"]
-    assert all(row["reason"] == "s = 0.5 outside open density interval (-0.5, 0.5); "
-               "beta* diverges" for row in rows)
+    assert all(row["reason"] == "s = 0.5 outside density interval "
+               "[-0.499999999, 0.499999999]; beta* diverges" for row in rows)
 
 
 def test_failed_verification_exits_one(capsys):
@@ -725,6 +753,8 @@ def test_thermo_su2_density_below_zero_is_a_usage_error(capsys):
     assert code == 0 and float(parse_csv(out)[1][0]["s"]) == 0.0
 
 
+#: at N bodies its lowest-charge sector has dimension 10**(100 N), 4201 digits at N = 42
+HUGE_MODEL = {"group": "U1", "multiplicities": {"-1": 10**100, "1": 1}}
 F_ERROR = "--f takes fractions strictly between 0 and 1 such as 1/4 or 0.5, got "
 Q_ERROR = "--q must be an integer or half-integer such as 0, -2 or 3/2, got "
 SEED_ERROR = "--seed must be in [0, 18446744073709551615], got "
@@ -769,8 +799,25 @@ SEED_ERROR = "--seed must be in [0, 18446744073709551615], got "
     (("exact", "--model", "u1-qutrit", "--n", "10", "--na", "3", "--q", "99"),
      "charge 99 (doubled 198) is not realizable for u1-qutrit with n = 10"),
     (("dims", "--model", "u1-qubit", "--n", "0"), "n = 0 must be >= 1"),
+    # each of these s lies inside the open interval, but within 1e-9 of its end
+    (("thermo", "--model", "u1-qubit", "--s", "-0.4999999999999999"),
+     "s = -0.4999999999999999 outside density interval [-0.499999999, 0.499999999]; "
+     "beta* diverges"),
+    (("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2",
+      "--s", "0.4999999999"),
+     "s = 0.4999999999 outside density interval [-0.499999999, 0.499999999]; "
+     "beta* diverges"),
+    # refused before the convolution: 15000 * log10(2) >= 4300
+    (("dims", "--model", "u1-qubit", "--n", "15000"), "--n must be < 14285 here: "
+     "dimensions up to 2**n would pass the 4300-digit limit for printing integers, "
+     "got 15000"),
+    (("dims", "--model-file", "huge.json", "--n", "43"),
+     f"--n must be < 43 here: dimensions up to {10**100 + 1}**n would pass the "
+     "4300-digit limit for printing integers, got 43"),
 ])
-def test_usage_errors_name_the_problem(capsys, argv, message):
+def test_usage_errors_name_the_problem(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("huge.json").write_text(json.dumps(HUGE_MODEL), encoding="utf-8")
     assert main(list(argv)) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"chargepage: error: {message}" in captured.err and captured.out == ""
@@ -874,3 +921,21 @@ def test_exact_routes_name_the_entropy_in_their_meta(capsys):
         code, out = invoke(capsys, *argv, *model)
         assert code == 0
         assert json.loads(out)["meta"]["entropy"] == "multiplicity-space"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--n", "4", "--na", "2", "--q", "0"),
+    ("thermo", "--s", "0.1"),
+    ("page-curve", "--n", "8", "--s", "0.1", "--f", "1/2", "--exact"),
+    ("exact", "--n", "6", "--na", "3", "--q", "0"),
+    ("mc", "--n", "6", "--na", "3", "--q", "0", "--samples", "20"),
+    ("crosscheck", "--n-list", "9", "--f", "1/2", "--s", "0.1"),  # one skipped row
+], ids=lambda argv: argv[0])
+def test_every_subcommand_heads_its_meta_with_tool_version_command_and_model(capsys, argv):
+    for fmt in ("csv", "json"):
+        code, out = invoke(capsys, *argv, "--model", "u1-qutrit", "--format", fmt)
+        assert code == EXIT_OK
+        meta = parse_csv(out)[0] if fmt == "csv" else json.loads(out)["meta"]
+        assert list(meta)[:4] == ["tool", "version", "command", "model"]
+        assert meta["tool"] == "chargepage" and meta["command"] == argv[0]
+        assert meta["model"] == catalog("u1-qutrit").as_dict()

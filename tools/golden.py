@@ -178,6 +178,12 @@ def _argvs() -> list[tuple[str, ...]]:
          "--tol", "nan"),
         ("crosscheck", "--model", "u1-qubit", "--n-list", "8", "--f", "1/2", "--s", "0.6"),
         ("laplace-check", "--model", "u1-qubit"),
+        # dimensions too long to print, refused before the convolution
+        ("dims", "--model", "u1-qubit", "--n", "15000"),
+        # inside the open density interval, but within 1e-9 of its end
+        ("thermo", "--model", "u1-qubit", "--s", "-0.4999999999999999"),
+        # a bad model and a bad flag: the model is read first
+        ("thermo", "--model-file", "missing.json", "--grid", "0"),
     ]
     return out
 
