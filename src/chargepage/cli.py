@@ -28,7 +28,7 @@ from .models import ChargeModel, GroupKind, catalog, catalog_names, \
 from .sectors import block_table, sector_dims
 from .thermo import density_interval, thermo_point
 from .exactavg import ENTROPY, exact_average_entropy
-from .montecarlo import McConfig, run as mc_run
+from .montecarlo import McConfig, SectorSizeError, run as mc_run
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -247,7 +247,10 @@ def cmd_mc(args, model: ChargeModel) -> tuple[list[dict], dict]:
     q2 = _parse_charge(args.q)
     _require("--samples", args.samples, 1)
     _require("--seed", args.seed, 0, 2**64 - 1)
-    config = McConfig(model, args.n, args.na, q2, args.samples, args.seed)
+    try:
+        config = McConfig(model, args.n, args.na, q2, args.samples, args.seed)
+    except SectorSizeError as exc:  # the result bound, the one check left to McConfig
+        raise ValueError(f"--samples: {exc}") from None
     result = mc_run(config)
     rows = [{
         "n": args.n, "n_a": args.na, "q": charge_str(q2),

@@ -34,21 +34,42 @@ from a generator keyed by (seed, c) before any solve. So the numbers do
 not depend on chunk order, solve call size or worker count, and the first k
 samples of a run are those of a k-sample run.
 
-A run spreads over a thread pool of one worker per usable CPU, fewer if a
-chunk has fewer rows, the budget holds fewer (below) or the run is small:
-runs under MIN_TASK_WORK stay serial, with no pool. Chunks go in waves of
-one per worker: the wave's draws run in parallel, then each chunk's rows are
-split into one piece per worker for the solves (numpy releases the GIL in
-both). The rule does not read the BLAS thread count, because both routes run
-one thread up to m = 128 however it is set. CPU time over wall time of
-batched solves with no BLAS thread count set (2-vCPU x86-64):
+Schedule. A run takes one worker per usable CPU, fewer if a chunk has fewer
+rows or the budget holds fewer (below), and one if the seconds a pool would
+share are predicted below POOL_SECONDS. Chunks go in waves of one per
+worker, and a wave runs as one task per worker: the first on the calling
+thread, the others on plain threads, all joined before the next wave (an
+exception of any task is raised in the caller once all are joined). In a
+full wave each task draws its own chunk and solves it. A wave of fewer
+chunks (the last one, or a one-chunk run) draws them, then splits each
+chunk's rows into one piece per task for the solves. numpy releases the GIL
+in the draws and the solves. The first pooled run of a process leaves about
+0.9 MiB more resident, in the second glibc malloc arena its thread opens.
+
+Predicted serial seconds per sample, one fit over the 53 benchmark Monte
+Carlo configs and perfbench's self-test config, one BLAS thread, x86-64,
+minimum of 7 runs:
+
+    per chi^2 variate                          160 ns
+    per block solved by eigvalsh (m <= 32)     17 ns m^2 + 6 ns m
+    per block solved by the SVD route          27 ns m^2
+    per run, not shared                        0.45 ms
+
+Predicted over measured time ranged from 0.64 to 1.34, against 0.60 to 1.69
+for the best power law of the samples * sum(count * m^3) work the rule used
+before. Two workers beat one from about 1.2 ms on the benchmark's 48 small
+sectors at 1000 samples (two chunks, one per thread) and from about 4 ms on
+one-chunk runs of u1-qubit N = 16 (blocks up to 70 wide, 2 to 20 samples
+split in two); POOL_SECONDS sits between. A sector with a block wider than
+128 predicts 0 s and runs serial. The rule does not read the BLAS thread
+count: both routes run one thread up to m = 128 however it is set, and above
+it eigvalsh's blocked reduction already spreads over BLAS's threads, so a
+pool shares the cores with them. CPU time over wall time of batched solves
+with no BLAS thread count set (2-vCPU x86-64):
 
     m         16       32       33       70       126      128      129      200      400
     route     eigvalsh eigvalsh svd      svd      svd      svd      eigvalsh eigvalsh eigvalsh
     cpu/wall  1.02     1.00     1.00     1.00     1.00     1.00     1.91     1.99     1.99
-
-Above m = 128 the blocked reduction spreads over BLAS's threads, which a
-pool then shares the cores with (README, "Monte Carlo").
 
 Memory: one count, _call_bytes, sizes everything. A solve call of r rows of
 one shape group holds 8 m (r count (m + 5) + m) bytes: per block its matrix,
@@ -58,13 +79,17 @@ the largest one-row call fit MAX_BATCH_BYTES, and at most the budget over
 that sum workers run. Each holds one chunk's draws and solves the most whole
 rows per call that fit min(SOLVE_BYTES, its share less the draws), at least
 one and at most its piece of a chunk. McRun.plan["batch_bytes"] reports
-workers x (draws + the largest call).
+workers x (draws + the largest call). The entropies, 8 bytes a sample, are
+one array outside that budget; McConfig refuses more samples than fit
+MAX_RESULT_BYTES, and the waves are made as they run, so nothing grows with
+the sample count before the first draw.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -83,14 +108,17 @@ MAX_BATCH_BYTES = 32 * 2**20
 #: to 2 MiB of matrices per call ran equally fast, 256 KiB slower, and more
 #: only raised the peak (ROADMAP)
 SOLVE_BYTES = 2**20
-#: least samples * sum(count * m^3) run on a thread pool. A pool costs about
-#: 1.5-3 ms (thread start, pieces of a few rows contending for the GIL); on a
-#: 2-vCPU x86-64 machine it paid off from about 5e5 at m <= 10 and 9e6 at
-#: m ~ 70, so runs below this floor lose at most a few ms and larger ones gain.
-#: The m^3 weight overstates blocks with SVD_MIN_DIM <= m <= SVD_MAX_DIM, whose
-#: solve costs about m^2; every such run in the benchmark sits far above the
-#: floor, so the rule is left as measured
-MIN_TASK_WORK = 2 * 10**6
+#: bytes of the entropy array a run returns, 8 per sample: at most 2^27 samples
+MAX_RESULT_BYTES = 2**30
+#: predicted seconds per sample: per chi^2 variate, per block solved by
+#: eigvalsh (times m^2 and m) or by the SVD route (times m^2). One fit over the
+#: benchmark's Monte Carlo configs, one BLAS thread, x86-64 (module docstring)
+VARIATE_SECONDS = 160e-9
+EIGVALSH_SECONDS = (17e-9, 6e-9)
+SVD_SECONDS = 27e-9
+#: least predicted seconds of shared draws and solves run on more than one
+#: thread: between the two measured break-evens (module docstring)
+POOL_SECONDS = 2e-3
 #: the m solved as singular values of B^T rather than eigenvalues of T:
 #: eigvalsh turns to an O(m^3) blocked reduction above m = 32, and gesdd
 #: turns to one above m = 128 (module docstring)
@@ -113,6 +141,10 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples = {self.samples} must be >= 1")
+        if 8 * self.samples > MAX_RESULT_BYTES:
+            raise SectorSizeError(
+                f"{self.samples} samples need {_count(8 * self.samples)} bytes of entropies, "
+                f"over the {MAX_RESULT_BYTES}-byte result bound")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
@@ -199,6 +231,48 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pooled_seconds(groups, samples: int) -> float:
+    """Predicted serial seconds of the draws and solves a pool would share; 0
+    if a block is wider than SVD_MAX_DIM, whose eigvalsh already runs on
+    BLAS's threads (module docstring)."""
+    if groups[-1][0][0] > SVD_MAX_DIM:
+        return 0.0
+    seconds = 0.0
+    for (m, _), count in groups:
+        solve = (0.0 if m == 1 else SVD_SECONDS * m * m if m >= SVD_MIN_DIM
+                 else EIGVALSH_SECONDS[0] * m * m + EIGVALSH_SECONDS[1] * m)
+        seconds += count * (VARIATE_SECONDS * (2 * m - 1) + solve)
+    return samples * seconds
+
+
+def _in_threads(tasks) -> list:
+    """The results of ``tasks``, callables run at once: the first on the calling
+    thread, each other on a thread of its own. Every thread is joined before
+    the exception of the first task that raised is raised again."""
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+
+    def call(i):
+        try:
+            results[i] = tasks[i]()
+        except BaseException as exc:  # raised again below, once all are joined
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, len(tasks)):
+            thread = threading.Thread(target=call, args=(i,))
+            thread.start()
+            threads.append(thread)
+        call(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def run(config: McConfig) -> McRun:
     """Sample the configured sector and summarize the entropy statistics."""
     table = block_table(config.model, config.n_total, config.n_a, config.q_total)
@@ -216,8 +290,8 @@ def run(config: McConfig) -> McRun:
             f"draws for {chunk} rows, {_count(need - draw_bytes)} for one solve call of its "
             f"{count} {_count(m)}x{_count(big)} blocks), over the {MAX_BATCH_BYTES}-byte "
             f"sampler budget")
-    work = config.samples * sum(count * m**3 for (m, _), count in groups)
-    workers = max(1, min(_usable_cpus(), chunk, work // MIN_TASK_WORK, MAX_BATCH_BYTES // need))
+    pooled = _pooled_seconds(groups, config.samples) >= POOL_SECONDS
+    workers = max(1, min(_usable_cpus(), chunk, MAX_BATCH_BYTES // need)) if pooled else 1
     # each worker holds one chunk's draws and one solve call: the most whole
     # rows of one shape group that fit the cap, at least one, and at most the
     # rows of its piece of a chunk
@@ -229,24 +303,27 @@ def run(config: McConfig) -> McRun:
     dof = np.concatenate([
         np.tile(2.0 * np.r_[float(big) - np.arange(m), np.arange(m - 1, 0, -1)], count)
         for (m, big), count in groups])
-    chunks = [(start // CHUNK, min(CHUNK, config.samples - start))
-              for start in range(0, config.samples, CHUNK)]
+    entropies = np.empty(config.samples)
 
-    def sample(pmap):
-        parts = []
-        for lo in range(0, len(chunks), workers):
-            draws = pmap(lambda chunk: _draw(dof, config.seed, *chunk), chunks[lo:lo + workers])
-            parts += pmap(lambda piece: _entropies(groups, piece, steps),
-                          [piece for rows in draws for piece in np.array_split(rows, workers)])
-        return np.concatenate(parts)
+    def draw(start):
+        return _draw(dof, config.seed, start // CHUNK, min(CHUNK, config.samples - start))
 
-    if workers == 1:
-        entropies = sample(map)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    def solve(start, rows):
+        entropies[start:start + len(rows)] = _entropies(groups, rows, steps)
 
-        with ThreadPoolExecutor(workers) as pool:
-            entropies = sample(pool.map)
+    def split(wave, draws, j):
+        """Piece j of ``workers`` of every chunk of the wave."""
+        for start, rows in zip(wave, draws):
+            lo, hi = len(rows) * j // workers, len(rows) * (j + 1) // workers
+            solve(start + lo, rows[lo:hi])
+
+    for first in range(0, config.samples, workers * CHUNK):
+        wave = range(first, min(config.samples, first + workers * CHUNK), CHUNK)
+        if len(wave) == workers:
+            _in_threads([lambda start=start: solve(start, draw(start)) for start in wave])
+        else:
+            draws = _in_threads([lambda start=start: draw(start) for start in wave])
+            _in_threads([lambda j=j: split(wave, draws, j) for j in range(workers)])
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),

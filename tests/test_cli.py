@@ -513,7 +513,7 @@ def test_mc_meta_reports_sampler_plan(capsys):
     # one 3x3 matrix, its 5 copied draws and about 6 values of numpy's ufunc
     # buffers, plus numpy's copy of one 3x3 matrix
     assert meta["batch_bytes"] == 8 * 20 * 9 + 8 * (20 * (3 * 3 + 5 * 3) + 3 * 3)
-    assert meta["workers"] == 1  # far below the work floor
+    assert meta["workers"] == 1  # far below the pool's break-even
 
 
 def test_mc_meta_counts_the_shape_groups_solved_by_svd(capsys):
@@ -529,7 +529,7 @@ def test_mc_meta_counts_the_shape_groups_solved_by_svd(capsys):
 
 def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(montecarlo, "MIN_TASK_WORK", 1)
+    monkeypatch.setattr(montecarlo, "POOL_SECONDS", 0.0)
     code, out = invoke(capsys, "mc", "--model", "su2-qubit", "--n", "10", "--na", "4",
                        "--q", "1", "--samples", "20", "--seed", "3", "--format", "json")
     assert code == 0
@@ -814,6 +814,10 @@ SEED_ERROR = "--seed must be in [0, 18446744073709551615], got "
     (("dims", "--model-file", "huge.json", "--n", "43"),
      f"--n must be < 43 here: dimensions up to {10**100 + 1}**n would pass the "
      "4300-digit limit for printing integers, got 43"),
+    # refused before any draw: the entropy array alone would take 8e12 bytes
+    (("mc", "--model", "u1-qubit", "--n", "8", "--na", "4", "--q", "0",
+      "--samples", "1000000000000"), "--samples: 1000000000000 samples need 8.00e+12 "
+     "bytes of entropies, over the 1073741824-byte result bound"),
 ])
 def test_usage_errors_name_the_problem(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -2,9 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,9 +253,9 @@ def test_admission_counts_one_solve_call_not_a_whole_row(monkeypatch):
 
 
 def force_workers(monkeypatch, cpus):
-    """Report ``cpus`` usable CPUs and lift the work floor."""
+    """Report ``cpus`` usable CPUs and pool every run, whatever its predicted seconds."""
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "MIN_TASK_WORK", 1)
+    monkeypatch.setattr(montecarlo, "POOL_SECONDS", 0.0)
 
 
 @pytest.mark.parametrize("config", [
@@ -287,9 +290,10 @@ def test_budget_sliced_parallel_run_does_not_change_numbers(monkeypatch):
 
 
 def test_worker_count_ignores_the_blas_environment():
-    # one sector above the work floor on two usable CPUs: the BLAS thread
-    # variables change neither the worker count nor a single entropy bit
-    assert 600 * 15184 >= 2 * montecarlo.MIN_TASK_WORK  # sum m^3 = 15184
+    # one sector above the pool's break-even on two usable CPUs: the BLAS
+    # thread variables change neither the worker count nor a single entropy bit
+    assert predicted_seconds(McConfig(catalog("u1-qubit"), 12, 6, 0, 600, 8)) \
+        >= 2 * montecarlo.POOL_SECONDS
     code = ("import sys\n"
             "from chargepage import montecarlo\n"
             "from chargepage.models import catalog\n"
@@ -307,23 +311,59 @@ def test_worker_count_ignores_the_blas_environment():
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+def predicted_seconds(config):
+    table = block_table(config.model, config.n_total, config.n_a, config.q_total)
+    groups = sorted(Counter((min(d, b), max(d, b)) for _, d, b in table.blocks).items())
+    return montecarlo._pooled_seconds(groups, config.samples)
+
+
 def test_run_below_work_floor_uses_one_worker(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-    # u1-qubit N = 12 at the half cut: sum of m^3 over the blocks is 15184
+    # u1-qubit N = 12 at the half cut: 50 samples are predicted at 1.8 ms
     small = McConfig(catalog("u1-qubit"), 12, 6, 0, 50, 8)
-    assert small.samples * 15184 < montecarlo.MIN_TASK_WORK
+    assert predicted_seconds(small) < montecarlo.POOL_SECONDS
     assert run(small).plan["workers"] == 1
     assert run(replace(small, samples=600)).plan["workers"] == 4
 
 
+@pytest.mark.parametrize("n, samples, workers", [
+    (16, 3, 1),  # blocks up to 70 wide: 2.67 ms serial, 5.05 ms on two threads
+    (10, 800, 2),  # blocks up to 10 wide: 17.5 ms serial, 11.4 ms on two threads
+])
+def test_pool_follows_predicted_seconds_not_m_cubed(monkeypatch, n, samples, workers):
+    # samples * sum(count * m^3) rated the first run 2.2e6 and the second
+    # 1.8e6, and so pooled the one that loses and not the one that gains
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    config = McConfig(catalog("u1-qubit"), n, n // 2, 0, samples, 1)
+    assert run(config).plan["workers"] == workers
+
+
+def test_blocks_wider_than_128_run_serial(monkeypatch):
+    # eigvalsh above m = 128 spreads over BLAS's threads: on u1-qubit N = 20
+    # at the half cut (blocks up to 252 wide), 64 samples, two workers took
+    # 0.571-0.575 s against 0.486-0.511 s serial, with 64 ms predicted for
+    # its blocks up to 120 wide. The solves are stubbed: only the plan counts
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_entropies",
+                        lambda groups, draws, steps: np.zeros(len(draws)))
+    config = McConfig(catalog("u1-qubit"), 20, 10, 0, 64, 1)
+    assert predicted_seconds(config) == 0.0
+    assert run(config).plan["workers"] == 1
+    # its blocks up to 120 wide alone, at q = 4, do pool
+    assert run(replace(config, q_total=8)).plan["workers"] == 2
+
+
 def test_serial_path_imports_no_thread_pool():
-    # nor scipy, which only the tests need: importing it costs more than
-    # the rest of startup
+    # nor does a pooled run: neither imports concurrent.futures. Nor scipy,
+    # which only the tests need: importing it costs more than the rest of startup
     code = ("import contextlib, io, sys\n"
             "from chargepage import cli, montecarlo\n"
             "from chargepage.models import catalog\n"
             "run = montecarlo.run(montecarlo.McConfig(catalog('u1-qubit'), 8, 4, 0, 50, 1))\n"
             "assert run.plan['workers'] == 1\n"
+            "montecarlo._usable_cpus = lambda: 2\n"
+            "run = montecarlo.run(montecarlo.McConfig(catalog('u1-qubit'), 10, 5, 0, 800, 1))\n"
+            "assert run.plan['workers'] == 2\n"
             "model = ['--model', 'su2-trimer']\n"
             "for argv in (['dims', *model, '--n', '6'],\n"
             "             ['exact', *model, '--n', '8', '--na', '3', '--q', '1'],\n"
@@ -363,6 +403,80 @@ def test_parallel_run_shares_the_batch_budget(monkeypatch):
     assert result.plan["batch_bytes"] == 2 * (draws + call_bytes(7, 2, 24))
     assert result.plan["batch_bytes"] <= budget
     assert peak <= budget + budget // 8
+
+
+def test_a_worker_thread_exception_reaches_the_caller(monkeypatch):
+    # a share that raises on a worker thread, in a one-chunk run split in two
+    # pieces and in a run of one chunk per thread: the caller raises the same
+    # exception once every thread is joined
+    force_workers(monkeypatch, 2)
+    caller, entropies = threading.get_ident(), montecarlo._entropies
+
+    def fail_off_the_caller(groups, draws, steps):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("a worker's share failed")
+        return entropies(groups, draws, steps)
+
+    monkeypatch.setattr(montecarlo, "_entropies", fail_off_the_caller)
+    before = threading.active_count()
+    for samples in (300, 2 * CHUNK):
+        with pytest.raises(ArithmeticError) as raised:
+            run(McConfig(catalog("u1-qubit"), 8, 4, 0, samples, 1))
+        assert raised.type is ArithmeticError
+        assert str(raised.value) == "a worker's share failed"
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_run_has_at_most_workers_minus_one_threads_alive(monkeypatch, workers):
+    # eight chunks on three workers: two waves of one chunk per thread, then a
+    # wave of two chunks drawn and split in three. Each start records the
+    # threads then alive beside the test's own
+    force_workers(monkeypatch, workers)
+    before, alive = threading.active_count(), []
+
+    class Counted(threading.Thread):
+        def start(self):
+            super().start()
+            alive.append(threading.active_count() - before)
+
+    monkeypatch.setattr(montecarlo, "threading", SimpleNamespace(Thread=Counted))
+    config = McConfig(catalog("u1-qubit"), 8, 4, 0, 7 * CHUNK + 100, 1)
+    assert run(config).plan["workers"] == workers
+    if workers == 1:
+        assert alive == []  # a serial run starts no thread
+    else:
+        assert len(alive) == 2 + 2 + 1 + 2 and max(alive) == workers - 1
+    assert threading.active_count() == before
+
+
+def test_more_threads_than_cores_switching_often_write_every_row_once(monkeypatch):
+    # six workers, a 10 us switch interval and seven chunks: waves of one chunk
+    # per thread and a split last wave write disjoint slices of one array,
+    # which a lost or misplaced row would break
+    config = McConfig(catalog("u1-qubit"), 8, 4, 0, 6 * CHUNK + 300, 3)
+    force_workers(monkeypatch, 1)
+    serial = run(config).entropies.tobytes()
+    force_workers(monkeypatch, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = run(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.plan["workers"] == 6
+    assert result.entropies.tobytes() == serial
+
+
+def test_result_bound_refuses_before_any_work():
+    # the entropy array, 8 bytes a sample, is refused when the config is made
+    most = montecarlo.MAX_RESULT_BYTES // 8
+    model = catalog("u1-qubit")
+    assert McConfig(model, 8, 4, 0, most, 1).samples == most
+    with pytest.raises(SectorSizeError) as refused:
+        McConfig(model, 8, 4, 0, most + 1, 1)
+    assert str(refused.value) == (f"{most + 1} samples need {8 * most + 8} bytes of "
+                                  f"entropies, over the {2**30}-byte result bound")
 
 
 @pytest.mark.parametrize("n, samples, workers", [

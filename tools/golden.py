@@ -24,7 +24,7 @@ reducible models of ``tests/conftest.py``'s ``REDUCIBLE_PANEL`` (as
 ``--model-file``), csv and json output, written files, ``exact`` up to
 N = 1500, exact page curves of one mirror pair and of many, in one process
 and split, usage errors (exit 2), failing ``crosscheck`` rows (exit 1) and
-fixed-seed ``mc`` runs with few samples.
+fixed-seed ``mc`` runs with few samples and one refused for its sample count.
 """
 
 from __future__ import annotations
@@ -169,6 +169,9 @@ def _argvs() -> list[tuple[str, ...]]:
         ("mc", "--model", "u1-qubit", "--n", "4", "--na", "2", "--q", "0", "--samples", "0"),
         ("mc", "--model", "u1-qubit", "--n", "4", "--na", "2", "--q", "0", "--seed", "-1"),
         ("mc", "--model", "u1-qubit", "--n", "60", "--na", "30", "--q", "0"),
+        # an entropy array of 8e12 bytes, refused before any draw
+        ("mc", "--model", "u1-qubit", "--n", "8", "--na", "4", "--q", "0", "--samples",
+         "1000000000000"),
         ("mc", "--model", "u1-qubit", "--n", "6", "--na", "3", "--q", "0", "--out",
          "missing/x.csv"),
         ("crosscheck", "--model", "u1-qubit", "--n-list", "8,a", "--f", "1/2", "--s", "0.1"),
