@@ -27,7 +27,7 @@ __all__ = [
     "Regime", "EntropyEstimate", "AsymptoticTerms", "VarianceAsymptotics",
     "ExtremalChargeError", "InfiniteTemperatureVarianceError",
     "asymptotic_log_dim", "charge_density_moments", "checked_thermo_point",
-    "average_entropy_asymptotic", "estimate_at_point", "variance_asymptotic",
+    "average_entropy_asymptotic", "estimates_at_point", "variance_asymptotic",
     "DELTA_TOLERANCE",
 ]
 
@@ -113,11 +113,14 @@ def _as_fraction(f) -> Fraction:
     return frac
 
 
+_HALF = Fraction(1, 2)
+
+
 def _regime(frac: Fraction) -> Regime:
     """Which side of the half cut f lies on, compared exactly."""
-    if frac == Fraction(1, 2):
+    if frac == _HALF:
         return Regime.F_HALF
-    return Regime.F_BELOW_HALF if frac < Fraction(1, 2) else Regime.F_ABOVE_HALF
+    return Regime.F_BELOW_HALF if frac < _HALF else Regime.F_ABOVE_HALF
 
 
 def _at_infinite_temperature(tp: ThermoPoint) -> bool:
@@ -194,32 +197,38 @@ def average_entropy_asymptotic(model: ChargeModel, f, s: float) -> EntropyEstima
     term at the infinite-temperature density.
     """
     frac = _as_fraction(f)
-    return estimate_at_point(checked_thermo_point(model, s), model, frac)
+    return estimates_at_point(checked_thermo_point(model, s), model, [frac])[0]
 
 
-def estimate_at_point(tp: ThermoPoint, model: ChargeModel, frac: Fraction) -> EntropyEstimate:
-    """``average_entropy_asymptotic`` from a solved point and a fraction in (0, 1)."""
-    regime = _regime(frac)
-    ff = float(frac)
+def estimates_at_point(tp: ThermoPoint, model: ChargeModel,
+                       fracs: list[Fraction]) -> list[EntropyEstimate]:
+    """``average_entropy_asymptotic`` at each fraction in (0, 1) of ``fracs`` from one
+    solved point; y1 and the terms of the point alone are computed once."""
     log_density = _sector_log_density(model, tp)
     log_a0 = math.log(tp.alpha0)
     slope = _dlog_alpha0(tp, model.group, tp.beta_star)
-    sqrt_term = y3_o1 = 0.0
-    if regime is Regime.F_HALF:
-        y2_n, y2_o1 = -0.5 * tp.eta, (math.log(0.5) + 0.5) / 2 - 0.5 * log_a0
-        if _at_infinite_temperature(tp):
-            y3_o1 = -(tp.alpha0 + 1.0 / tp.alpha0) / 4.0
+    y1 = _log_dim_terms(model, tp)
+    estimates = []
+    for frac in fracs:
+        regime = _regime(frac)
+        ff = float(frac)
+        sqrt_term = y3_o1 = 0.0
+        if regime is Regime.F_HALF:
+            y2_n, y2_o1 = -0.5 * tp.eta, (math.log(0.5) + 0.5) / 2 - 0.5 * log_a0
+            if _at_infinite_temperature(tp):
+                y3_o1 = -(tp.alpha0 + 1.0 / tp.alpha0) / 4.0
+            else:
+                sqrt_term = -math.sqrt(tp.c_star / (2 * math.pi))
+        elif regime is Regime.F_BELOW_HALF:
+            y2_n = -(1 - ff) * tp.eta
+            y2_o1 = (math.log(1 - ff) + ff) / 2 - (1 - ff) * slope
         else:
-            sqrt_term = -math.sqrt(tp.c_star / (2 * math.pi))
-    elif regime is Regime.F_BELOW_HALF:
-        y2_n = -(1 - ff) * tp.eta
-        y2_o1 = (math.log(1 - ff) + ff) / 2 - (1 - ff) * slope
-    else:
-        y2_n = -ff * tp.eta
-        y2_o1 = (math.log(ff) + 1 - ff) / 2 + (1 - ff) * slope - log_a0
-    return EntropyEstimate(regime, _log_dim_terms(model, tp),
-                           AsymptoticTerms(y2_n, sqrt_term, 0.5, y2_o1 - log_density),
-                           AsymptoticTerms(0.0, 0.0, 0.0, y3_o1))
+            y2_n = -ff * tp.eta
+            y2_o1 = (math.log(ff) + 1 - ff) / 2 + (1 - ff) * slope - log_a0
+        estimates.append(EntropyEstimate(
+            regime, y1, AsymptoticTerms(y2_n, sqrt_term, 0.5, y2_o1 - log_density),
+            AsymptoticTerms(0.0, 0.0, 0.0, y3_o1)))
+    return estimates
 
 
 def variance_asymptotic(model: ChargeModel, f, s: float) -> VarianceAsymptotics:

@@ -100,13 +100,19 @@ def block_average_entropy(table: BlockTable) -> ExactAverage:
     y1 = _digamma_and_half_inverse(dim, log_dim)[0]
     y2_terms = []
     y3_terms = []
+    log, exp = math.log, math.exp
+    add_y2, add_y3 = y2_terms.append, y3_terms.append
     for _, d, b in table.blocks:
-        log_d, log_b = math.log(d), math.log(b)
-        weight = math.exp(log_d + log_b - log_dim)
+        log_d, log_b = log(d), log(b)
+        weight = exp(log_d + log_b - log_dim)
         big, log_big = (d, log_d) if d >= b else (b, log_b)
-        psi, half_inverse = _digamma_and_half_inverse(big, log_big)
-        y2_terms.append(-(psi - half_inverse) * weight)
-        y3_terms.append(-0.5 * math.exp(-abs(log_d - log_b)) * weight)
+        if big > 10**12:  # _digamma_and_half_inverse's last branch, inlined
+            half_inverse = 0.5 / big if big.bit_length() < 1000 else 0.0
+            psi = log_big + half_inverse
+        else:
+            psi, half_inverse = _digamma_and_half_inverse(big, log_big)
+        add_y2(-(psi - half_inverse) * weight)
+        add_y3(-0.5 * exp(-abs(log_d - log_b)) * weight)
     y2 = math.fsum(y2_terms)
     y3 = math.fsum(y3_terms)
     return ExactAverage(y1 + y2 + y3, y1, y2, y3)

@@ -20,18 +20,20 @@ child's exit, and it needs a second core that nothing here sees: beside a
 busy loop pinned to one of two CPUs every curve below ran slower split than in
 one process, and benchmark runs of split curves spread wider from run to run.
 So a curve whose work, tables x N x log2(d) for local dimension d, is under
-MIN_SPLIT_WORK, about 50 ms in one process, runs in one process. Wall time of
-page curves (2-vCPU x86-64, medians of 16, a fresh interpreter each):
+MIN_SPLIT_WORK, about 40 ms in one process, runs in one process. Wall time of
+page curves (2-vCPU x86-64, medians of 16, a fresh interpreter each; the two
+ratio columns were measured before the root recurrence and the lean block and
+coefficient loops took 5-28% off the one-process times):
 
     model        N  points    work   one process   split/one   beside a busy CPU
-    u1-qubit     480   99    24000      16.6 ms       0.98          1.48
-    su2-qubit    480   99    47520      28.4 ms       0.80          1.21
-    su2-trimer   960   19    54720      49.1 ms       0.75          1.00
-    su2-trimer   240   99    71280      44.0 ms       0.78          1.06
-    su2-qutrit   480   99    75317      42.6 ms       0.78          1.08
-    u1-qutrit    960   99    76078      83.0 ms       0.67          1.05
-    su2-qubit    960   99    95040      41.9 ms       0.80          1.15
-    su2-trimer   480   99   142560      88.4 ms       0.65          1.02
+    u1-qubit     480   99    24000      19.0 ms       0.98          1.48
+    su2-qubit    480   99    47520      22.6 ms       0.80          1.21
+    su2-trimer   960   19    54720      40.7 ms       0.75          1.00
+    su2-trimer   240   99    71280      26.7 ms       0.78          1.06
+    su2-qutrit   480   99    75317      38.9 ms       0.78          1.08
+    u1-qutrit    960   99    76078      79.6 ms       0.67          1.05
+    su2-qubit    960   99    95040      36.4 ms       0.80          1.15
+    su2-trimer   480   99   142560      52.9 ms       0.65          1.02
 
 The estimate counts a U(1) table, one per pair, like an SU(2) table, two per
 pair, so it ranks U(1) curves low: u1-qutrit at N = 960 stays in one process.
@@ -47,7 +49,7 @@ from fractions import Fraction
 
 from . import montecarlo
 from .asymptotics import Regime, average_entropy_asymptotic, checked_thermo_point, \
-    estimate_at_point
+    estimates_at_point
 from .exactavg import ENTROPY, block_average_entropy
 from .models import ChargeModel, GroupKind, charge_str
 from .montecarlo import McConfig, SectorSizeError, run as mc_run
@@ -65,7 +67,8 @@ CROSSCHECK_KEYS = ("n", "q", "s_snapped", "exact", "asymptotic", "abs_diff", "sc
 def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
                exact: bool) -> tuple[list[dict], dict]:
     """Rows of one page curve and, with ``exact``, the exact route's meta; beta*(s),
-    the N-body convolution and the charge snap are done once per curve."""
+    the asymptotic terms of that point, the N-body convolution and the charge snap
+    are done once per curve."""
     tp = checked_thermo_point(model, s)
     cuts = [round(f * n) for f in fractions]
     values, meta = {}, {}
@@ -97,8 +100,7 @@ def page_curve(model: ChargeModel, n: int, s: float, fractions: list[Fraction],
                 "distinct_cuts": len(inner), "convolutions": len(bodies) + 1 if bodies else 0,
                 "tables": len(built), "processes": processes}
     rows = []
-    for f, n_a in zip(fractions, cuts):
-        est = estimate_at_point(tp, model, f)
+    for f, n_a, est in zip(fractions, cuts, estimates_at_point(tp, model, fractions)):
         row = {"f": float(f), "s": s, "n": n, "regime": est.regime.value,
                "term_N": est.term_N, "term_sqrtN": est.term_sqrtN, "term_O1": est.term_O1,
                "includes_delta": est.includes_delta, "total": est.total(n)}

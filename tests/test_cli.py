@@ -438,6 +438,19 @@ def test_dims_refuses_an_unprintable_n_before_any_convolution(capsys, monkeypatc
     assert "error: --n must be < 14285 here" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("crosscheck", "--model", "u1-qubit", "--f", "1/2", "--s", "0.1", "--n-list", "8,100000000"),
+    ("page-curve", "--model", "u1-qubit", "--n", "100000000000", "--s", "0.1", "--f", "1/2",
+     "--exact"),
+], ids=["crosscheck", "page-curve"])
+def test_weight_counts_past_the_byte_bound_are_refused_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    assert main(list(argv)) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"bytes, over the {sectors.MAX_COUNT_BYTES}-byte bound for one weight-count list" in err
+
+
 def test_dims_at_large_n(capsys):
     code, out = invoke(capsys, "dims", "--model", "u1-qubit", "--n", "512")
     assert code == 0

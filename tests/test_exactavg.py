@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from chargepage.models import GroupKind, catalog, catalog_names
-from chargepage.sectors import BlockTable, EmptySectorError, block_table, \
+from chargepage.sectors import BlockTable, EmptySectorError, block_table, block_tables, \
     realizable_charges, sector_dims
-from chargepage.exactavg import _digamma_and_half_inverse, block_average_entropy, \
-    exact_average_entropy
+from chargepage.exactavg import ExactAverage, _digamma_and_half_inverse, \
+    block_average_entropy, exact_average_entropy
 from chargepage.montecarlo import McConfig, run
 
 from conftest import REDUCIBLE_PANEL, full_space_entropies
@@ -64,6 +64,46 @@ def test_block_average_entropy_matches_the_per_block_page_formula(blocks):
                            + mpmath.mpf(min(d, b) - 1) / (2 * max(d, b)))
             for d, b in blocks)
     assert abs(block_average_entropy(table).value - ref) < 1e-12 * abs(ref)
+
+
+def per_block_average_entropy(table):
+    """``block_average_entropy`` with one ``_digamma_and_half_inverse`` call per
+    block, the loop before the call was inlined: the same float operations."""
+    dim = table.sector_dimension
+    log_dim = math.log(dim)
+    y1 = _digamma_and_half_inverse(dim, log_dim)[0]
+    y2_terms, y3_terms = [], []
+    for _, d, b in table.blocks:
+        log_d, log_b = math.log(d), math.log(b)
+        weight = math.exp(log_d + log_b - log_dim)
+        big, log_big = (d, log_d) if d >= b else (b, log_b)
+        psi, half_inverse = _digamma_and_half_inverse(big, log_big)
+        y2_terms.append(-(psi - half_inverse) * weight)
+        y3_terms.append(-0.5 * math.exp(-abs(log_d - log_b)) * weight)
+    y2, y3 = math.fsum(y2_terms), math.fsum(y3_terms)
+    return ExactAverage(y1 + y2 + y3, y1, y2, y3)
+
+
+def bits(res):
+    return tuple(x.hex() for x in (res.value, res.y1, res.y2, res.y3))
+
+
+# the larger side of a block on each side of the inlined branch (above 1e12) and of
+# its 1000-bit cut of 1/(2 max), as d and as b, beside a small and a square block
+@pytest.mark.parametrize("big", [8, 9, 10**12, 10**12 + 1, 2**999 - 1, 2**999, 2**1000],
+                         ids=["8", "9", "1e12", "1e12+1", "2^999-1", "2^999", "2^1000"])
+def test_block_average_entropy_is_the_per_block_loop_bit_for_bit(big):
+    for blocks in (((big, 3),), ((2, big),), ((big, 5), (1, 1), (7, big), (big, big))):
+        table = BlockTable(0, tuple((2 * i, d, b) for i, (d, b) in enumerate(blocks)),
+                           sum(d * b for d, b in blocks))
+        assert bits(block_average_entropy(table)) == bits(per_block_average_entropy(table))
+
+
+def test_block_average_entropy_is_the_per_block_loop_on_real_tables():
+    for name, n, q2 in (("su2-trimer", 240, 60), ("u1-qutrit", 300, 40), ("u1-qubit", 1500, 300)):
+        full = sector_dims(catalog(name), n)
+        for table in block_tables(full, q2, range(1, n, 7)):
+            assert bits(block_average_entropy(table)) == bits(per_block_average_entropy(table))
 
 
 def test_single_state_sector_has_zero_entropy():

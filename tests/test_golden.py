@@ -41,3 +41,15 @@ def test_compare_flags_one_ulp_and_a_reworded_message_unless_allowed():
     assert "    stdout line 2 cell 1: '1.244406323810347' -> '1.2444063238103473'" in details
     summary, _, ok = golden.compare(parent, change, ["bad.json", "exact"])
     assert ok and "--allow 'exact' (1 differ)" in summary
+
+
+def test_recording_subprocess_runs_under_the_address_space_cap(tmp_path):
+    # a stand-in tree whose cli prints the soft RLIMIT_AS of the recording process
+    package = tmp_path / "src" / "chargepage"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import resource\n\n\ndef main(argv):\n"
+                                    "    print(resource.getrlimit(resource.RLIMIT_AS)[0])\n"
+                                    "    return 0\n")
+    ((rec,),) = golden.run_trees([str(tmp_path)], [("limit",)])
+    assert rec["texts"]["stdout"] == f"{golden.CHILD_BYTES}\n" == f"{2**31}\n"

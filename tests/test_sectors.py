@@ -3,16 +3,17 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chargepage import sectors
 from chargepage.models import ChargeModel, GroupKind, catalog, catalog_names
 from chargepage.sectors import (
-    EmptySectorError, block_table, block_tables, realizable_charges,
-    sector_dims, weight_counts,
+    MAX_COUNT_BYTES, EmptySectorError, block_table, block_tables, check_count_bytes,
+    realizable_charges, sector_dims, weight_counts,
 )
 
 from conftest import (
-    brute_force_u1_blocks, brute_force_u1_counts, convolution_weight_counts,
-    ladder_su2_dims, random_small_models, su2_weight_space_b, total_dimension,
-    triangle_blocks,
+    REDUCIBLE_PANEL, brute_force_u1_blocks, brute_force_u1_counts,
+    convolution_weight_counts, ladder_su2_dims, random_small_models, su2_weight_space_b,
+    total_dimension, triangle_blocks,
 )
 
 
@@ -277,3 +278,57 @@ def test_serialization_decimal_strings():
     biggest = max(table.dims.values())
     assert biggest > 2**63
     assert int(str(biggest)) == biggest
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.lists(st.integers(1, 3), min_size=2, max_size=4), r=st.integers(1, 3),
+       n=st.integers(0, 8))
+@example(q=[1, 2, 1], r=2, n=5)  # Q itself a square: P = (1 + x)^4
+@example(q=[2, 1], r=3, n=4)  # q_0 = 2: P = (2 + x)^3
+def test_weight_counts_of_a_power_of_a_root_match_brute_force(q, r, n):
+    # multiplicities P = Q^r on the doubled charges 2k - 3
+    p = [1]
+    for _ in range(r):
+        p = [sum(p[i] * q[j - i] for i in range(len(p)) if 0 <= j - i < len(q))
+             for j in range(len(p) + len(q) - 1)]
+    model = ChargeModel(GroupKind.U1, {2 * k - 3: x for k, x in enumerate(p)})
+    lattice = sector_dims(model, 1).lattice
+    assert lattice.power % r == 0  # Q or a root of Q
+    assert sectors._least_root(lattice.root) == (lattice.root, 1)  # the least root
+    assert weight_counts(model, n) == convolution_weight_counts(model, n)
+
+
+def test_only_su2_trimer_has_a_proper_root():
+    for model in [catalog(name) for name in catalog_names()] + list(REDUCIBLE_PANEL):
+        lattice = sector_dims(model, 1).lattice
+        if model.name == "su2-trimer":  # P = (1 + x)^3
+            assert (lattice.root, lattice.power) == ({0: 1, 1: 1}, 3)
+        else:
+            assert lattice.power == 1 and sum(lattice.root.values()) == model.local_dim
+
+
+def test_root_search_skips_an_a0_too_big_for_a_float():
+    # a_0 = 2^1030 (1031 bits) under a 20th root: past the float range, not an OverflowError
+    model = ChargeModel(GroupKind.U1, {2 * k: 2**1030 if k == 0 else 1 for k in range(21)})
+    assert sector_dims(model, 1).lattice.power == 1
+    assert weight_counts(model, 3) == convolution_weight_counts(model, 3)
+
+
+# the bound admits su2-trimer past N = 3 10^4, the page curves the exact route aims at
+@pytest.mark.parametrize("name, largest", [("su2-trimer", 43_690), ("u1-qubit", 131_071)])
+def test_weight_count_bound_at_its_edge(name, largest):
+    # the predicate alone on both sides of the edge: no convolution runs
+    lattice = sector_dims(catalog(name), 1).lattice
+    check_count_bytes(lattice, largest)
+    with pytest.raises(ValueError, match=f"n = {largest + 1}: its weight counts need about "
+                                         f".* bytes, over the {MAX_COUNT_BYTES}-byte bound"):
+        check_count_bytes(lattice, largest + 1)
+
+
+def test_an_n_past_the_weight_count_bound_is_refused_before_any_convolution(monkeypatch):
+    monkeypatch.setattr(sectors, "_power_coefficients",
+                        lambda *args: pytest.fail("a convolution ran"))
+    for refused in (lambda: sector_dims(catalog("su2-trimer"), 43_691),
+                    lambda: weight_counts(catalog("u1-qubit"), 131_072)):
+        with pytest.raises(ValueError, match="bytes, over the"):
+            refused()

@@ -10,7 +10,10 @@ archive` of the parent commit and the working tree. The fixed argv list
 working directory that holds the model files of ``MODEL_FILES``. For each
 argv it records the exit code and the sha256 of stdout, stderr and every
 file the run wrote (``--out``, ``--dump``, ``--plot``), and removes those
-files before the next argv.
+files before the next argv. Each subprocess runs under an address-space cap
+of CHILD_BYTES, set before chargepage is imported, so an argv that one tree
+does not refuse ends in that tree's recorded ``MemoryError`` (exit 3) instead
+of growing without bound.
 
 The last line printed is the summary: the number of argvs, the exit-code
 counts, each tree's combined hash, how many argvs differ, every ``--allow``
@@ -42,6 +45,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+#: the address-space cap (RLIMIT_AS) of each recording subprocess: 2 GiB
+CHILD_BYTES = 2**31
 #: the reducible models of tests/conftest.py's REDUCIBLE_PANEL, as model files
 PANEL = {
     "gapped.json": {"group": "U1", "multiplicities": {"-5": 1, "-3": 1, "3": 1, "5": 1}},
@@ -254,7 +259,12 @@ def _start(tree: str, argvs: list[tuple[str, ...]], base: Path) -> subprocess.Po
     env = {**os.environ, "COLUMNS": "80", "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     env.pop("PYTHONPATH", None)
-    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import golden; "
+    # the cap goes on before chargepage is imported; a lower hard limit stays in force
+    code = ("import json, resource, sys; "
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS); "
+            f"cap = {CHILD_BYTES} if hard == resource.RLIM_INFINITY else min({CHILD_BYTES}, hard); "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard)); "
+            "sys.path.insert(0, sys.argv[1]); import golden; "
             "argvs = [tuple(a) for a in json.load(open(sys.argv[3]))]; "
             "json.dump(golden.record(sys.argv[2], argvs), open(sys.argv[4], 'w'))")
     return subprocess.Popen(
