@@ -14,20 +14,39 @@ entropy is that of the multiplicity-space (block) state, as in exactavg.
 
 A shape group takes its spectra by one of two routes. For m <= 32 and
 m > 128 they are eigvalsh(T). For 32 < m <= 128 they are the squared
-singular values of the upper bidiagonal B^T, from np.linalg.svd(...,
-compute_uv=False). Both routes solve the same draws, and their eigenvalues
-agree within a few ulps of the largest. The bounds are where LAPACK
-(OpenBLAS ships reference LAPACK's ilaenv) changes algorithm. eigvalsh
-(dsyevd -> dsytrd) switches to the blocked Householder reduction above
-n = 32, which does O(m^3) work even on a tridiagonal input. gesdd without
-vectors runs the unblocked dgebd2 up to n = 128. On an upper bidiagonal its
-reflectors are identities (tau = 0, skipped), so the dqds solve (dlasq1)
-dominates at O(m^2). Above 128 the blocked dgebrd costs O(m^3) again.
-Measured per matrix, batched, one BLAS thread (x86-64, median of 7):
+singular values of the upper bidiagonal B^T. Both routes solve the same
+draws, and their eigenvalues agree within a few ulps of the largest. The
+bounds are where LAPACK (OpenBLAS ships reference LAPACK's ilaenv) changes
+algorithm. eigvalsh (dsyevd -> dsytrd) switches to the blocked Householder
+reduction above n = 32, which does O(m^3) work even on a tridiagonal input.
+gesdd without vectors runs the unblocked dgebd2 up to n = 128. On an upper
+bidiagonal its reflectors are identities (tau = 0, skipped), so gesdd
+reduces to the dqds solve dlasq1 (Fernando & Parlett, Numer. Math. 67, 191
+(1994)) on the same two diagonals, at O(m^2), and its singular values are
+dlasq1's bit for bit. Above 128 the blocked dgebrd costs O(m^3) again.
+
+The SVD route therefore calls dlasq1 itself, through ctypes, on d = sqrt(x)
+and e = sqrt(y), with no m x m matrix: the ILP64 symbol scipy_dlasq1_64_
+(64-bit N and INFO) of numpy's own LAPACK, the scipy-openblas library that
+numpy loaded (numpy.libs in Linux and Windows wheels, numpy/.dylibs on
+macOS). The lookup runs once, at import, and imports no scipy. With another
+LAPACK build, or on any failed lookup, the route stays np.linalg.svd(B^T,
+compute_uv=False) (gesdd), and McRun.plan["svd_solver"] names the solver in
+use. Each solve call allocates its own arrays, so threads share nothing,
+and ctypes releases the GIL during each call. dlasq1 returns NaNs with
+INFO = 0 on a NaN input where gesdd raises LinAlgError, so a non-finite draw
+row raises that LinAlgError here too. Measured per matrix, batched, one BLAS
+thread (x86-64, median of 5 runs of the median of 7):
 
     m             32     33     100    127    128    129
-    eigvalsh(T)   31.0   51.6   477    818    775    853   us
-    svd(B^T)      47.7   43.6   375    574    569    994   us
+    eigvalsh(T)   27.9   47.5   371    578    688    749   us
+    svd(B^T)      36.9   38.6   302    484    535    854   us
+    dlasq1        29.2   30.5   218    343    364    369   us
+
+dlasq1's values agree with eigvalsh's within 6.3e-15 of the largest, and
+above 128 it would also beat eigvalsh, but its values there differ from
+eigvalsh's (7.8e-15 of the largest up to m = 300), so printed numbers would
+change and the route stays eigvalsh.
 
 Samples come in chunks of CHUNK. Chunk c draws all its variates, row by row,
 from a generator keyed by (seed, c) before any solve. So the numbers do
@@ -52,47 +71,62 @@ minimum of 7 runs:
 
     per chi^2 variate                          160 ns
     per block solved by eigvalsh (m <= 32)     17 ns m^2 + 6 ns m
-    per block solved by the SVD route          27 ns m^2
+    per block solved by dlasq1 (the SVD route) 19 ns m^2
+    per block solved by gesdd (its fallback)   27 ns m^2
     per run, not shared                        0.45 ms
 
-Predicted over measured time ranged from 0.64 to 1.34, against 0.60 to 1.69
-for the best power law of the samples * sum(count * m^3) work the rule used
-before. Two workers beat one from about 1.2 ms on the benchmark's 48 small
-sectors at 1000 samples (two chunks, one per thread) and from about 4 ms on
-one-chunk runs of u1-qubit N = 16 (blocks up to 70 wide, 2 to 20 samples
-split in two); POOL_SECONDS sits between. A sector with a block wider than
-128 predicts 0 s and runs serial. The rule does not read the BLAS thread
-count: both routes run one thread up to m = 128 however it is set, and above
-it eigvalsh's blocked reduction already spreads over BLAS's threads, so a
-pool shares the cores with them. CPU time over wall time of batched solves
-with no BLAS thread count set (2-vCPU x86-64):
+The dlasq1 figure is gesdd's times the ratio of their least-squares c m^2
+fits over batched solves at 11 m from 33 to 128 (0.68 and 0.72 in two
+runs). Predicted over measured time ranged from 0.64 to 1.34, against 0.60
+to 1.69 for the best power law of the samples * sum(count * m^3) work the
+rule used before. With gesdd, two workers beat one from about 1.2 ms on the
+benchmark's 48 small sectors at 1000 samples (two chunks, one per thread)
+and from about 4 ms on one-chunk runs of u1-qubit N = 16 (blocks up to 70
+wide, 2 to 20 samples split in two). With dlasq1 (medians of 11, 2-vCPU
+host, in a stretch where two busy processes ran in parallel), one-chunk runs
+of u1-qubit N = 16 won from 8 samples (2.6 ms predicted) and lost at 5 (1.6
+ms), and waves of two small-sector chunks won at 2.3 ms and lost at 1.7 ms.
+In stretches where the second vCPU was not free, two workers lost at every
+size tried, up to 65 ms. POOL_SECONDS sits between the break-evens. A sector
+with a block wider than 128 predicts 0 s and runs serial. The rule does not
+read the BLAS thread count: both routes run one thread up to m = 128 however
+it is set, and above it eigvalsh's blocked reduction already spreads over
+BLAS's threads, so a pool shares the cores with them. CPU time over wall
+time of batched solves with no BLAS thread count set (2-vCPU x86-64):
 
     m         16       32       33       70       126      128      129      200      400
     route     eigvalsh eigvalsh svd      svd      svd      svd      eigvalsh eigvalsh eigvalsh
     cpu/wall  1.02     1.00     1.00     1.00     1.00     1.00     1.91     1.99     1.99
 
+There the svd columns are gesdd's; dlasq1 read 1.00, 1.00, 1.00 and 0.99 at
+m = 33, 70, 126 and 128.
+
 Memory: one count, _call_bytes, sizes everything. A solve call of r rows of
-one shape group holds 8 m (r count (m + 5) + m) bytes: per block its matrix,
-copied draws and numpy's ufunc buffers or eigenvalues, plus numpy's copy of
-one matrix for LAPACK. A sector is admitted if one chunk's chi^2 draws plus
-the largest one-row call fit MAX_BATCH_BYTES, and at most the budget over
-that sum workers run. Each holds one chunk's draws and solves the most whole
-rows per call that fit min(SOLVE_BYTES, its share less the draws), at least
-one and at most its piece of a chunk. McRun.plan["batch_bytes"] reports
-workers x (draws + the largest call). The entropies, 8 bytes a sample, are
-one array outside that budget; McConfig refuses more samples than fit
-MAX_RESULT_BYTES, and the waves are made as they run, so nothing grows with
-the sample count before the first draw.
+one shape group solved by dlasq1 holds 8 m (4 r count + 4) bytes: per block
+its copied draws and its d and e, which become its spectrum, plus dlasq1's
+work array. Any other solve call holds 8 m (r count (m + 5) + m) bytes: per
+block its matrix, copied draws and numpy's ufunc buffers or eigenvalues,
+plus numpy's copy of one matrix for LAPACK. A sector is admitted if one
+chunk's chi^2 draws plus the largest one-row call fit MAX_BATCH_BYTES, and
+at most the budget over that sum workers run. Each holds one chunk's draws
+and solves the most whole rows per call that fit min(SOLVE_BYTES, its share
+less the draws), at least one and at most its piece of a chunk.
+McRun.plan["batch_bytes"] reports workers x (draws + the largest call). The
+entropies, 8 bytes a sample, are one array outside that budget; McConfig
+refuses more samples than fit MAX_RESULT_BYTES, and the waves are made as
+they run, so nothing grows with the sample count before the first draw.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 
@@ -111,11 +145,12 @@ SOLVE_BYTES = 2**20
 #: bytes of the entropy array a run returns, 8 per sample: at most 2^27 samples
 MAX_RESULT_BYTES = 2**30
 #: predicted seconds per sample: per chi^2 variate, per block solved by
-#: eigvalsh (times m^2 and m) or by the SVD route (times m^2). One fit over the
-#: benchmark's Monte Carlo configs, one BLAS thread, x86-64 (module docstring)
+#: eigvalsh (times m^2 and m) or by the SVD route's solver (times m^2). One fit
+#: over the benchmark's Monte Carlo configs, one BLAS thread, x86-64; dlasq1's
+#: is gesdd's times their per-matrix ratio (module docstring)
 VARIATE_SECONDS = 160e-9
 EIGVALSH_SECONDS = (17e-9, 6e-9)
-SVD_SECONDS = 27e-9
+SVD_SECONDS = {"dlasq1": 19e-9, "gesdd": 27e-9}
 #: least predicted seconds of shared draws and solves run on more than one
 #: thread: between the two measured break-evens (module docstring)
 POOL_SECONDS = 2e-3
@@ -179,11 +214,59 @@ def _bidiagonal(draws: np.ndarray, m: int) -> np.ndarray:
     return b
 
 
+def _find_dlasq1():
+    """LAPACK's dlasq1 from the ILP64 scipy-openblas library that numpy loaded,
+    or None for any other build or any failed lookup (module docstring)."""
+    try:
+        if np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
+            return None
+        numpy_dir = Path(np.__file__).parent
+        for libs in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs"):
+            for name in sorted(os.listdir(libs)) if libs.is_dir() else []:
+                if name.startswith("libscipy_openblas64_"):
+                    kernel = ctypes.CDLL(str(libs / name)).scipy_dlasq1_64_
+                    kernel.restype, kernel.argtypes = None, [ctypes.c_void_p] * 5
+                    return kernel
+    except (AttributeError, KeyError, OSError, TypeError):
+        pass
+    return None
+
+
+#: the SVD route's solver, found once: dlasq1 on the two diagonals, or None
+#: for gesdd on the dense B^T
+_DLASQ1 = _find_dlasq1()
+
+
+def _svd_solver() -> str:
+    return "gesdd" if _DLASQ1 is None else "dlasq1"
+
+
+def _squared_singular_values(block: np.ndarray, m: int) -> np.ndarray:
+    """Squared singular values of B^T, decreasing, one row per sample row of
+    ``block``, from dlasq1 on d = sqrt(x) and e = sqrt(y). Each row of ``roots``
+    holds one matrix's d (m) and e (m - 1, padded to m), and dlasq1 leaves the
+    singular values in d. A non-finite draw, on which dlasq1 returns NaNs, is
+    refused as gesdd refuses it."""
+    roots = np.zeros((len(block), 2 * m))
+    np.sqrt(block, out=roots[:, :2 * m - 1])
+    if not np.isfinite(roots).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
+    work, n, info = np.empty(4 * m), ctypes.c_int64(m), ctypes.c_int64(0)
+    n_p, work_p, info_p = ctypes.addressof(n), work.ctypes.data, ctypes.addressof(info)
+    for d in range(roots.ctypes.data, roots.ctypes.data + roots.nbytes, 16 * m):
+        _DLASQ1(n_p, d, d + 8 * m, work_p, info_p)
+        if info.value:
+            raise np.linalg.LinAlgError("SVD did not converge")
+    return np.square(roots[:, :m], out=roots[:, :m])
+
+
 def _spectra(block: np.ndarray, m: int) -> np.ndarray:
     """Eigenvalues of T, one row per sample row of ``block``, by the route for m."""
     if m == 1:
         return block
     if SVD_MIN_DIM <= m <= SVD_MAX_DIM:
+        if _DLASQ1 is not None:
+            return _squared_singular_values(block, m)
         return np.linalg.svd(_bidiagonal(block, m), compute_uv=False) ** 2
     return np.linalg.eigvalsh(_tridiagonal(block, m))
 
@@ -210,13 +293,17 @@ def _entropies(groups, draws: np.ndarray, steps) -> np.ndarray:
 
 
 def _call_bytes(group, rows: int) -> int:
-    """Bytes a solve call of ``rows`` sample rows of one shape group holds. Per
+    """Bytes a solve call of ``rows`` sample rows of one shape group holds. On
+    dlasq1, per block: 2m - 1 copied draws and its d and e, padded to 2m, which
+    become its spectrum; per call: dlasq1's work array of 4m. Otherwise, per
     block: its m x m matrix, 2m - 1 copied draws, and up to 3(m - 1) values of
     numpy's ufunc buffers while T or B^T is filled (every operand there is a
-    2-d strided view), m eigenvalues after. Per call: numpy's linalg gufuncs
+    2-d strided view), m eigenvalues after; per call: numpy's linalg gufuncs
     copy the matrix they solve into a malloc'd buffer that tracemalloc does
     not see."""
     (m, _), count = group
+    if _DLASQ1 is not None and SVD_MIN_DIM <= m <= SVD_MAX_DIM:
+        return 8 * m * (4 * rows * count + 4)
     return 8 * m * (rows * count * (m + 5) + m)
 
 
@@ -239,7 +326,7 @@ def _pooled_seconds(groups, samples: int) -> float:
         return 0.0
     seconds = 0.0
     for (m, _), count in groups:
-        solve = (0.0 if m == 1 else SVD_SECONDS * m * m if m >= SVD_MIN_DIM
+        solve = (0.0 if m == 1 else SVD_SECONDS[_svd_solver()] * m * m if m >= SVD_MIN_DIM
                  else EIGVALSH_SECONDS[0] * m * m + EIGVALSH_SECONDS[1] * m)
         seconds += count * (VARIATE_SECONDS * (2 * m - 1) + solve)
     return samples * seconds
@@ -327,6 +414,7 @@ def run(config: McConfig) -> McRun:
     var = float(np.var(entropies, ddof=1)) if config.samples > 1 else 0.0
     plan = {"sampler": "laguerre-bidiagonal", "chunk": CHUNK, "shape_groups": len(groups),
             "svd_groups": sum(SVD_MIN_DIM <= m <= SVD_MAX_DIM for (m, _), _ in groups),
+            "svd_solver": _svd_solver(),
             "max_min_dim": groups[-1][0][0], "workers": workers,
             "batch_bytes": workers * (draw_bytes + max(map(_call_bytes, groups, steps)))}
     return McRun(entropies, float(np.mean(entropies)),

@@ -540,6 +540,24 @@ def test_mc_meta_counts_the_shape_groups_solved_by_svd(capsys):
     assert meta["max_min_dim"] == 35
 
 
+def test_mc_meta_names_the_svd_route_solver(capsys, monkeypatch):
+    # dlasq1 where numpy's own OpenBLAS exports it, else gesdd: a run without
+    # the kernel shows in the meta, with the same rows
+    argv = ("mc", "--model", "u1-qubit", "--n", "14", "--na", "7", "--q", "0",
+            "--samples", "5", "--format", "json")
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    kernel = json.loads(out)
+    assert kernel["meta"]["svd_solver"] == montecarlo._svd_solver()
+    assert kernel["meta"]["svd_solver"] in ("dlasq1", "gesdd")
+    monkeypatch.setattr(montecarlo, "_DLASQ1", None)
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    fallback = json.loads(out)
+    assert fallback["meta"]["svd_solver"] == "gesdd"
+    assert fallback["rows"] == kernel["rows"]
+
+
 def test_mc_meta_reports_workers_and_bytes_in_flight(capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(montecarlo, "POOL_SECONDS", 0.0)

@@ -53,3 +53,16 @@ def test_recording_subprocess_runs_under_the_address_space_cap(tmp_path):
                                     "    return 0\n")
     ((rec,),) = golden.run_trees([str(tmp_path)], [("limit",)])
     assert rec["texts"]["stdout"] == f"{golden.CHILD_BYTES}\n" == f"{2**31}\n"
+
+
+def test_recording_subprocess_runs_under_the_cpu_time_cap(tmp_path):
+    # a stand-in tree whose cli prints the soft RLIMIT_CPU of the recording
+    # process: a runaway argv ends the recording with SIGXCPU
+    package = tmp_path / "src" / "chargepage"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import resource\n\n\ndef main(argv):\n"
+                                    "    print(resource.getrlimit(resource.RLIMIT_CPU)[0])\n"
+                                    "    return 0\n")
+    ((rec,),) = golden.run_trees([str(tmp_path)], [("limit",)])
+    assert rec["texts"]["stdout"] == f"{golden.CHILD_SECONDS}\n" == "300\n"

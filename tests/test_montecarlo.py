@@ -75,7 +75,10 @@ def call_bytes(m, count, rows):
     """What a solve call of ``rows`` rows of ``count`` m x m blocks holds: each
     block's matrix, its 2m - 1 copied draws and up to 3(m - 1) values of numpy's
     ufunc buffers, and numpy's copy of one matrix for LAPACK, which tracemalloc
-    does not see."""
+    does not see. Where dlasq1 solves (33 <= m <= 128), each block's 2m - 1
+    copied draws and its two diagonals padded to 2m, and one work array of 4m."""
+    if montecarlo._DLASQ1 is not None and 33 <= m <= 128:
+        return 8 * (rows * count * 4 * m + 4 * m)
     return 8 * (rows * count * (m * m + 5 * m) + m * m)
 
 
@@ -233,7 +236,8 @@ def test_batch_budget_refuses_and_bounds_allocation(monkeypatch):
 def test_admission_counts_one_solve_call_not_a_whole_row(monkeypatch):
     # u1-qubit N = 16 at the half cut: one sample row holds 8 * binom(16, 8) =
     # 102960 bytes of matrices, but a solve call holds one shape group's. The
-    # largest one-row call is the 70x70 block with numpy's copy of it
+    # largest one-row call is the 70x70 block with numpy's copy of it, or where
+    # dlasq1 solves it without a matrix, the two 28x28 blocks
     budget = 96 * 2**10
     config = McConfig(catalog("u1-qubit"), 16, 8, 0, 1, 1)
     reference = run(config)
@@ -246,7 +250,8 @@ def test_admission_counts_one_solve_call_not_a_whole_row(monkeypatch):
     finally:
         tracemalloc.stop()
     draws = draw_bytes(block_table(config.model, 16, 8, 0).blocks) // CHUNK
-    assert result.plan["batch_bytes"] == draws + call_bytes(70, 1, 1) <= budget
+    largest = max(call_bytes(70, 1, 1), call_bytes(28, 2, 1))
+    assert result.plan["batch_bytes"] == draws + largest <= budget
     assert draws + 8 * 12870 > budget  # a whole row of matrices would not fit
     assert peak <= budget + budget // 8
     assert result.entropies.tobytes() == reference.entropies.tobytes()
@@ -502,8 +507,12 @@ def test_batch_bytes_reports_what_a_run_holds(monkeypatch, n, samples, workers):
     held = result.plan["batch_bytes"]
     draws = draw_bytes(block_table(config.model, n, n // 2, 0).blocks)
     # the largest call: 119 rows of the two 21x21 blocks at N = 14, 43 rows of
-    # the two 36x36 blocks at N = 18
-    largest = {14: call_bytes(21, 2, 119), 18: call_bytes(36, 2, 43),
+    # the two 36x36 blocks at N = 18. Where dlasq1 solves 33 <= m <= 128 without
+    # matrices: at N = 14 on one worker 467 rows of the two 35x35 blocks, and
+    # at N = 18 a worker's whole piece, 50 rows, of the two 126x126 blocks
+    kernel = montecarlo._DLASQ1 is not None
+    largest = {14: call_bytes(35, 2, 467) if kernel and workers == 1 else call_bytes(21, 2, 119),
+               18: call_bytes(126, 2, 50) if kernel else call_bytes(36, 2, 43),
                22: call_bytes(462, 2, 1)}[n]
     assert held == workers * (draws * min(samples, CHUNK) // CHUNK + largest)
     assert held / 2 <= peak <= held + held // 8
@@ -539,3 +548,100 @@ def test_config_validation():
         McConfig(model, 4, 2, 0, 10, -1)
     with pytest.raises(ValueError):
         McConfig(model, 4, 2, 0, 10, 2**64)
+
+
+def kernel_route_only():
+    if montecarlo._DLASQ1 is None:
+        pytest.skip("numpy's LAPACK does not export scipy_dlasq1_64_: the SVD route is gesdd")
+
+
+def test_numpy_wheel_lapack_provides_the_kernel():
+    # a numpy wheel on Linux bundles the ILP64 scipy-openblas in numpy.libs; a
+    # failed lookup there would fall back to gesdd without a word
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if lapack != "scipy-openblas" or not sys.platform.startswith("linux") or not libs.is_dir():
+        pytest.skip("not a Linux numpy wheel with its own scipy-openblas")
+    assert montecarlo._DLASQ1 is not None
+    assert montecarlo._svd_solver() == "dlasq1"
+
+
+@pytest.mark.parametrize("m", [33, 34, 64, 100, 127, 128])
+def test_dlasq1_spectra_equal_gesdd_bit_for_bit(m):
+    # on an upper bidiagonal gesdd's reflectors are identities and it solves
+    # by dlasq1 on the same two diagonals: the squares match to the last bit
+    kernel_route_only()
+    for seed, rows, big in ((0, 1, m), (1, 2, m + 7), (2, 9, m + 90), (3, 40, 5 * m)):
+        dof = 2.0 * np.r_[big - np.arange(m), np.arange(m - 1, 0, -1)]
+        block = montecarlo._draw(dof, seed, 0, rows)
+        gesdd = np.linalg.svd(montecarlo._bidiagonal(block, m), compute_uv=False) ** 2
+        assert montecarlo._spectra(block, m).tobytes() == gesdd.tobytes()
+
+
+@pytest.mark.parametrize("n, samples, largest", [
+    (14, 300, (21, 2, 119)),  # two 35x35 blocks on the SVD route
+    (18, 40, (84, 2, 8)),  # blocks 36, 84 and 126 wide on the SVD route
+])
+def test_gesdd_fallback_gives_the_same_bytes_and_counts_matrices(monkeypatch, n, samples,
+                                                                 largest):
+    # without the kernel the SVD route is np.linalg.svd of the dense B^T: the
+    # same entropies, serial and pooled, and batch_bytes counts its matrices
+    # (the largest call: 119 rows of the two 21x21 blocks at N = 14, 8 rows of
+    # the two 84x84 blocks at N = 18)
+    config = McConfig(catalog("u1-qubit"), n, n // 2, 0, samples, 5)
+    draws = draw_bytes(block_table(config.model, n, n // 2, 0).blocks) * samples // CHUNK
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        kernel = run(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_DLASQ1", None)
+            fallback = run(config)
+            assert fallback.plan["batch_bytes"] == workers * (draws + call_bytes(*largest))
+        assert fallback.plan["svd_solver"] == "gesdd"
+        assert kernel.plan["svd_solver"] == montecarlo._svd_solver()
+        assert fallback.entropies.tobytes() == kernel.entropies.tobytes()
+
+
+@pytest.mark.parametrize("solver", ["dlasq1", "gesdd"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_a_non_finite_draw_row_is_refused_on_both_svd_routes(monkeypatch, solver, bad):
+    # gesdd raises on a NaN (a negative draw's square root is one); dlasq1
+    # would return NaNs with INFO = 0, so the kernel route refuses the row
+    if solver == "gesdd":
+        monkeypatch.setattr(montecarlo, "_DLASQ1", None)
+    else:
+        kernel_route_only()
+    m = 40
+    block = montecarlo._draw(2.0 * np.r_[m + 3 - np.arange(m), np.arange(m - 1, 0, -1)], 1, 0, 3)
+    block[1, 5] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        montecarlo._spectra(block, m)
+
+
+def test_import_loads_no_scipy():
+    # the kernel lookup goes through ctypes and numpy's own library, not scipy
+    code = ("import sys\n"
+            "import chargepage, chargepage.cli\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True)
+
+
+def test_pool_prediction_charges_the_solver_that_runs(monkeypatch):
+    # u1-qubit N = 16 at the half cut, 6 samples: the two 56x56 blocks and the
+    # 70x70 block cost 19 ns m^2 each on dlasq1 and 27 ns m^2 on gesdd, so the
+    # run is predicted at 1.93 ms (serial) on dlasq1 and 2.47 ms (pooled) on gesdd
+    kernel_route_only()
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    config = McConfig(catalog("u1-qubit"), 16, 8, 0, 6, 1)
+    dlasq1 = predicted_seconds(config)
+    assert run(config).plan["workers"] == 1
+    monkeypatch.setattr(montecarlo, "_DLASQ1", None)
+    gesdd = predicted_seconds(config)
+    assert run(config).plan["workers"] == 2
+    cost = montecarlo.SVD_SECONDS
+    svd_m2 = 6 * (2 * 56**2 + 70**2)
+    assert gesdd - dlasq1 == pytest.approx(svd_m2 * (cost["gesdd"] - cost["dlasq1"]))
+    assert dlasq1 < montecarlo.POOL_SECONDS <= gesdd

@@ -11,9 +11,11 @@ working directory that holds the model files of ``MODEL_FILES``. For each
 argv it records the exit code and the sha256 of stdout, stderr and every
 file the run wrote (``--out``, ``--dump``, ``--plot``), and removes those
 files before the next argv. Each subprocess runs under an address-space cap
-of CHILD_BYTES, set before chargepage is imported, so an argv that one tree
-does not refuse ends in that tree's recorded ``MemoryError`` (exit 3) instead
-of growing without bound.
+of CHILD_BYTES and a CPU-time cap of CHILD_SECONDS, both set before
+chargepage is imported. An argv that one tree does not refuse ends in that
+tree's recorded ``MemoryError`` (exit 3) instead of growing without bound,
+and one that runs away ends the recording with the signal named (SIGXCPU)
+instead of hanging the comparison.
 
 The last line printed is the summary: the number of argvs, the exit-code
 counts, each tree's combined hash, how many argvs differ, every ``--allow``
@@ -39,6 +41,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -47,6 +50,9 @@ from pathlib import Path
 
 #: the address-space cap (RLIMIT_AS) of each recording subprocess: 2 GiB
 CHILD_BYTES = 2**31
+#: the CPU-time cap (RLIMIT_CPU) of each recording subprocess, in seconds; the
+#: whole list takes about 6 s of CPU per tree (x86-64)
+CHILD_SECONDS = 300
 #: the reducible models of tests/conftest.py's REDUCIBLE_PANEL, as model files
 PANEL = {
     "gapped.json": {"group": "U1", "multiplicities": {"-5": 1, "-3": 1, "3": 1, "5": 1}},
@@ -259,14 +265,16 @@ def _start(tree: str, argvs: list[tuple[str, ...]], base: Path) -> subprocess.Po
     env = {**os.environ, "COLUMNS": "80", "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     env.pop("PYTHONPATH", None)
-    # the cap goes on before chargepage is imported; a lower hard limit stays in force
-    code = ("import json, resource, sys; "
-            "_, hard = resource.getrlimit(resource.RLIMIT_AS); "
-            f"cap = {CHILD_BYTES} if hard == resource.RLIM_INFINITY else min({CHILD_BYTES}, hard); "
-            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard)); "
-            "sys.path.insert(0, sys.argv[1]); import golden; "
-            "argvs = [tuple(a) for a in json.load(open(sys.argv[3]))]; "
-            "json.dump(golden.record(sys.argv[2], argvs), open(sys.argv[4], 'w'))")
+    # the caps go on before chargepage is imported; a lower hard limit stays in force
+    code = ("import json, resource, sys\n"
+            f"for limit, cap in ((resource.RLIMIT_AS, {CHILD_BYTES}),\n"
+            f"                   (resource.RLIMIT_CPU, {CHILD_SECONDS})):\n"
+            "    _, hard = resource.getrlimit(limit)\n"
+            "    cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)\n"
+            "    resource.setrlimit(limit, (cap, hard))\n"
+            "sys.path.insert(0, sys.argv[1]); import golden\n"
+            "argvs = [tuple(a) for a in json.load(open(sys.argv[3]))]\n"
+            "json.dump(golden.record(sys.argv[2], argvs), open(sys.argv[4], 'w'))\n")
     return subprocess.Popen(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent), src,
          str(base / "argvs.json"), str(base / "records.json")], cwd=work, env=env)
@@ -278,6 +286,8 @@ def run_trees(trees: list[str], argvs: list[tuple[str, ...]]) -> list[list[dict]
         bases = [Path(tmp) / str(i) for i in range(len(trees))]
         procs = [_start(tree, argvs, path) for tree, path in zip(trees, bases)]
         for tree, code in zip(trees, [proc.wait() for proc in procs]):
+            if code < 0:  # SIGXCPU past the CPU cap, or SIGKILL past the hard limit
+                raise SystemExit(f"{tree}: recording ended by {signal.Signals(-code).name}")
             if code != 0:
                 raise SystemExit(f"{tree}: recording failed with exit code {code}")
         return [json.loads((path / "records.json").read_text(encoding="utf-8"))
